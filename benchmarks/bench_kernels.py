@@ -322,13 +322,23 @@ def check_equivalence_and_grads() -> None:
 # -- timing ---------------------------------------------------------------------------
 
 
-def _best_of(fn, repeats):
-    best = float("inf")
+def _best_of(new, old, repeats):
+    """Best-of-``repeats`` seconds of ``new`` and ``old``.
+
+    One untimed warm-up call per side absorbs first-call costs (page
+    faults on fresh buffers, allocator and BLAS start-up; the first call
+    measured up to 2x slower than later ones), and the timed repeats
+    alternate sides so a burst of machine load hits both.
+    """
+    new()
+    old()
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for i, fn in enumerate((new, old)):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def bench_tp(E: int, K: int, repeats: int) -> float:
@@ -336,11 +346,10 @@ def bench_tp(E: int, K: int, repeats: int) -> float:
     rng = np.random.default_rng(0)
     Y, h, R = _tp_inputs(rng, E, K)
     g = np.ones((E, K, sh_dim(TP_TABLE.l3max)))
-    t_new = _best_of(
-        lambda: channelwise_tp_optimized(Y, h, R, TP_TABLE).backward(g), repeats
-    )
-    t_old = _best_of(
-        lambda: _LegacyChannelwiseTP.apply(Y, h, R, TP_TABLE).backward(g), repeats
+    t_new, t_old = _best_of(
+        lambda: channelwise_tp_optimized(Y, h, R, TP_TABLE).backward(g),
+        lambda: _LegacyChannelwiseTP.apply(Y, h, R, TP_TABLE).backward(g),
+        repeats,
     )
     speedup = t_old / t_new
     print(
@@ -357,11 +366,8 @@ def bench_sc(N: int, K: int, S: int, repeats: int) -> float:
     A, species, weights = _sc_inputs(rng, N, K, S)
     g = np.ones((N, K, SC_SPEC.out_dim))
     sp = np.asarray(species, dtype=np.int64)
-    t_new = _best_of(
+    t_new, t_old = _best_of(
         lambda: symmetric_contraction_optimized(A, species, weights, SC_SPEC).backward(g),
-        repeats,
-    )
-    t_old = _best_of(
         lambda: _LegacySymContraction.apply(
             A, *weights, species=sp, spec=SC_SPEC
         ).backward(g),
@@ -380,9 +386,10 @@ def bench_sh(E: int, lmax: int, repeats: int) -> float:
     """Spherical harmonics forward, vectorized vs per-(l, m) loops."""
     rng = np.random.default_rng(2)
     v = rng.standard_normal((E, 3))
-    t_old = _best_of(lambda: legacy_spherical_harmonics(lmax, v, "component"), repeats)
-    t_new = _best_of(
-        lambda: spherical_harmonics(lmax, v, normalization="component"), repeats
+    t_new, t_old = _best_of(
+        lambda: spherical_harmonics(lmax, v, normalization="component"),
+        lambda: legacy_spherical_harmonics(lmax, v, "component"),
+        repeats,
     )
     speedup = t_old / t_new
     print(
@@ -443,7 +450,10 @@ def main(argv=None) -> int:
 
     # Smoke mode runs fewer repeats on possibly loaded CI machines, so its
     # no-regression gates get a noise band; the full run enforces them
-    # exactly.  The 3x channelwise-TP gate has a ~4x measured cushion.
+    # exactly.  The 3x channelwise-TP gate: 23 smoke runs on a 2-vCPU
+    # host measured 5.0-6.9x, except 3 runs at 2.2-2.4x while the host
+    # was under outside load, which slows the memory-bound vectorized
+    # kernel (~2.5x) more than the loop version (~1.2x).
     no_regress = 0.85 if args.smoke else 1.0
     ok = True
     if tp_speedup < 3.0:

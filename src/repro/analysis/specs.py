@@ -391,8 +391,8 @@ def _channelwise_tp(args, kwargs) -> ArraySpec:
         f"Y must be (E, {_sh_dim(table.l1max)}), got {y.shape}",
     )
     _require(
-        h.ndim == 3 and h.shape[2] == _sh_dim(table.l2max),
-        f"h must be (E, K, {_sh_dim(table.l2max)}), got {h.shape}",
+        h.ndim == 3 and h.shape[2] == table.h_dim,
+        f"h must be (E, K, {table.h_dim}), got {h.shape}",
     )
     _require(
         r.ndim == 3 and r.shape[2] == table.num_paths,

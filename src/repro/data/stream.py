@@ -51,14 +51,6 @@ class StreamStats:
         producer keeps up, →0 when the consumer is starved)."""
         return self.depth_sum / self.batches if self.batches else 0.0
 
-    @property
-    def stall_fraction_of_fetch(self) -> float:
-        """Stall time as a fraction of total fetch time — 0 means batch
-        construction was fully hidden behind compute."""
-        if self.fetch_seconds <= 0.0:
-            return 0.0
-        return self.stall_seconds / self.fetch_seconds
-
     def merge(self, other: "StreamStats") -> None:
         self.batches += other.batches
         self.stalls += other.stalls

@@ -29,13 +29,21 @@ in forward or backward.
 
 Both are differentiable (custom backward passes, validated by gradcheck)
 and numerically identical.
+
+A table may be *restricted* to sender features of a lower degree than
+the path list (``h_lmax < l2max``).  MACE's first interaction is the
+case in point: its sender features are the scalar species embedding, so
+every ``l2 > 0`` entry would multiply an exact zero.  The restricted
+table keeps the full path list (R keeps its width, so the radial network
+and its parameters do not change) but holds only the ``l2 <= h_lmax``
+CG entries, and both kernels contract ``h`` of width ``h_dim``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -68,7 +76,11 @@ class ChannelwiseTPTable:
     Attributes
     ----------
     l1max, l2max, l3max:
-        Degree caps of Y, h and the output A.
+        Degree caps of Y, the paths' ``l2`` and the output A.
+    h_lmax:
+        Degree cap of the sender features h the kernels receive
+        (``<= l2max``).  Paths with ``l2 > h_lmax`` stay in ``paths``
+        but hold no entries: their R slices get zero gradient.
     paths:
         Valid ``(l1, l2, l3)`` triples in deterministic order; the radial
         weights R carry one channel slice per path.
@@ -98,6 +110,7 @@ class ChannelwiseTPTable:
     l1max: int
     l2max: int
     l3max: int
+    h_lmax: int
     paths: Tuple[Tuple[int, int, int], ...]
     i1: np.ndarray
     i2: np.ndarray
@@ -116,6 +129,11 @@ class ChannelwiseTPTable:
         return len(self.paths)
 
     @property
+    def h_dim(self) -> int:
+        """Width of the sender features ``h`` both kernels expect."""
+        return sh_dim(self.h_lmax)
+
+    @property
     def nnz(self) -> int:
         return int(self.values.size)
 
@@ -127,13 +145,29 @@ class ChannelwiseTPTable:
     def dense_mults(self) -> int:
         """Multiply count of the dense per-segment approach (per edge-channel)."""
         return sum(
-            (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) for l1, l2, l3 in self.paths
+            (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1)
+            for l1, l2, l3 in self.paths
+            if l2 <= self.h_lmax
         )
 
 
+def channelwise_tp_table(
+    l1max: int, l2max: int, l3max: int, h_lmax: Optional[int] = None
+) -> ChannelwiseTPTable:
+    """Build (and cache) the path/entry table for given degree caps.
+
+    ``h_lmax`` (default ``l2max``) restricts the entries to sender
+    features of degree ``<= h_lmax`` while keeping every path; see
+    :class:`ChannelwiseTPTable`.
+    """
+    h_lmax = l2max if h_lmax is None else h_lmax
+    if not 0 <= h_lmax <= l2max:
+        raise ValueError(f"h_lmax must be in [0, l2max={l2max}], got {h_lmax}")
+    return _build_table(l1max, l2max, l3max, h_lmax)
+
+
 @lru_cache(maxsize=None)
-def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTable:
-    """Build (and cache) the path/entry table for given degree caps."""
+def _build_table(l1max: int, l2max: int, l3max: int, h_lmax: int) -> ChannelwiseTPTable:
     paths: List[Tuple[int, int, int]] = []
     i1_all, i2_all, i3_all, pid_all, val_all = [], [], [], [], []
     for l1 in range(l1max + 1):
@@ -143,6 +177,8 @@ def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTab
                     continue
                 p = len(paths)
                 paths.append((l1, l2, l3))
+                if l2 > h_lmax:
+                    continue
                 sp = cg_sparse(l1, l2, l3)
                 i1_all.append(sp.m1 + l1 * l1)
                 i2_all.append(sp.m2 + l2 * l2)
@@ -175,7 +211,7 @@ def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTab
     # per-edge hot path.
     np.add.at(reduce_y, (i1, entry_pair * d3 + i3), vals)  # lint: allow-hot-loop-scatter
     rows = np.arange(n_pairs)
-    scatter_h = np.zeros((n_pairs, sh_dim(l2max)))
+    scatter_h = np.zeros((n_pairs, sh_dim(h_lmax)))
     scatter_h[rows, pair_i2] = 1.0
     scatter_path = np.zeros((n_pairs, n_paths))
     scatter_path[rows, pair_path] = 1.0
@@ -183,6 +219,7 @@ def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTab
         l1max,
         l2max,
         l3max,
+        h_lmax,
         tuple(paths),
         np.ascontiguousarray(i1),
         np.ascontiguousarray(i2),
@@ -201,8 +238,8 @@ def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTab
 def _check_shapes(Y: np.ndarray, h: np.ndarray, R: np.ndarray, table: ChannelwiseTPTable) -> None:
     if Y.ndim != 2 or Y.shape[1] != sh_dim(table.l1max):
         raise ValueError(f"Y must be (E, {sh_dim(table.l1max)}), got {Y.shape}")
-    if h.ndim != 3 or h.shape[2] != sh_dim(table.l2max):
-        raise ValueError(f"h must be (E, K, {sh_dim(table.l2max)}), got {h.shape}")
+    if h.ndim != 3 or h.shape[2] != table.h_dim:
+        raise ValueError(f"h must be (E, K, {table.h_dim}), got {h.shape}")
     if R.ndim != 3 or R.shape[2] != table.num_paths:
         raise ValueError(f"R must be (E, K, {table.num_paths}), got {R.shape}")
     if not (Y.shape[0] == h.shape[0] == R.shape[0]):
@@ -220,6 +257,8 @@ class _ChannelwiseTPBaseline(Function):
         E, K = h.shape[0], h.shape[1]
         out = np.zeros((E, K, sh_dim(table.l3max)), dtype=np.float64)
         for p, (l1, l2, l3) in enumerate(table.paths):
+            if l2 > table.h_lmax:
+                continue
             s1, s2, s3 = sh_block_slice(l1), sh_block_slice(l2), sh_block_slice(l3)
             C = clebsch_gordan(l1, l2, l3)
             d1, d2, d3 = 2 * l1 + 1, 2 * l2 + 1, 2 * l3 + 1
@@ -257,6 +296,8 @@ class _ChannelwiseTPBaseline(Function):
         gh = np.zeros_like(h) if need_h else None
         gR = np.zeros_like(R) if need_r else None
         for p, (l1, l2, l3) in enumerate(table.paths):
+            if l2 > table.h_lmax:
+                continue
             s1, s2, s3 = sh_block_slice(l1), sh_block_slice(l2), sh_block_slice(l3)
             C = clebsch_gordan(l1, l2, l3)
             g3 = grad[:, :, s3]
@@ -377,7 +418,7 @@ class _ChannelwiseTPOptimized(Function):
             _F8
             * (
                 E * sh_dim(table.l1max)
-                + E * K * sh_dim(table.l2max)
+                + E * K * table.h_dim
                 + E * K * table.num_paths
                 + E * K * d3
             ),
@@ -439,7 +480,7 @@ def channelwise_tp_baseline(Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseT
     Y:
         ``(E, (l1max+1)^2)`` edge spherical harmonics.
     h:
-        ``(E, K, (l2max+1)^2)`` sender features gathered onto edges.
+        ``(E, K, table.h_dim)`` sender features gathered onto edges.
     R:
         ``(E, K, num_paths)`` radial weights, one slice per (l1, l2, l3).
     table:

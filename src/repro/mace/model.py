@@ -6,7 +6,11 @@ Architecture (paper Figure 2):
    edge displacements -> spherical harmonics + Bessel radial features.
 2. **Interaction** (x ``n_layers``) — channelwise tensor product of edge
    harmonics with sender features, weighted by a radial MLP (Algorithm 2),
-   pooled over neighborhoods into the atomic basis ``A_{i,klm}``.
+   pooled over neighborhoods into the atomic basis ``A_{i,klm}``.  The
+   first interaction's sender features are the scalar embedding (their
+   ``l > 0`` blocks are exactly zero), so it contracts only the degree-0
+   block against a TP table restricted to ``l2 = 0``; later interactions
+   contract the full ``l <= l_hidden`` features.
 3. **Product** — symmetric tensor contraction of ``A`` up to correlation
    order ``nu`` (Algorithm 3) followed by an equivariant linear update with
    a residual connection.
@@ -53,13 +57,24 @@ __all__ = ["MACE", "InteractionLayer"]
 
 
 class InteractionLayer(Module):
-    """One MACE interaction + product block (Figure 2 c-d)."""
+    """One MACE interaction + product block (Figure 2 c-d).
 
-    def __init__(self, cfg: MACEConfig, rng: np.random.Generator) -> None:
+    ``h_lmax`` is the degree cap of the layer's input features that can
+    be non-zero (default ``cfg.l_hidden``).  Below ``cfg.l_hidden`` the
+    tensor product gathers only that many feature components onto edges
+    and runs on a restricted table; the path list, and with it the radial
+    network and every parameter, stays the same.
+    """
+
+    def __init__(
+        self, cfg: MACEConfig, rng: np.random.Generator, h_lmax: Optional[int] = None
+    ) -> None:
         super().__init__()
         self.cfg = cfg
         K = cfg.num_channels
-        self.tp_table = channelwise_tp_table(cfg.lmax_sh, cfg.l_hidden, cfg.l_atomic_basis)
+        self.tp_table = channelwise_tp_table(
+            cfg.lmax_sh, cfg.l_hidden, cfg.l_atomic_basis, h_lmax
+        )
         self.radial = RadialNetwork(
             cfg.n_radial_basis,
             cfg.radial_mlp_hidden,
@@ -103,7 +118,9 @@ class InteractionLayer(Module):
             # Padded-MD path: zero the radial weights of out-of-cutoff
             # (candidate/ghost) edges so they contribute exactly nothing.
             R = R * edge_mask
-        h_j = gather_rows(h, send)  # sender features on edges
+        h_dim = self.tp_table.h_dim
+        h_send = h if h.shape[2] == h_dim else h[:, :, :h_dim]
+        h_j = gather_rows(h_send, send)  # sender features on edges
         if cfg.kernel_variant == "optimized":
             A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
         else:
@@ -140,7 +157,9 @@ class MACE(Module):
         self._z_to_idx = {z: i for i, z in enumerate(cfg.species)}
         self.embedding = Embedding(cfg.n_species, K, rng=rng)
         for t in range(cfg.n_layers):
-            setattr(self, f"layer{t}", InteractionLayer(cfg, rng))
+            # Layer 0 sees only the scalar embedding (see forward).
+            h_lmax = 0 if t == 0 else cfg.l_hidden
+            setattr(self, f"layer{t}", InteractionLayer(cfg, rng, h_lmax))
         for t in range(cfg.n_layers - 1):
             setattr(self, f"readout{t}", Linear(K, 1, rng=rng))
         self.readout_final = MLP([K, cfg.readout_mlp_hidden, 1], rng=rng)

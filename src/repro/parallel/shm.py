@@ -94,10 +94,6 @@ class _Allocator:
                 merged.append((off, extent))
         self._free = merged
 
-    @property
-    def live_bytes(self) -> int:
-        return sum(self._live.values())
-
 
 class _SlabBase(_Allocator):
     """Allocator + array interface over a raw byte buffer."""

@@ -296,12 +296,3 @@ class GradStep:
 def flatten_params(params) -> np.ndarray:
     """Concatenate parameter arrays in order (the DDP wire format)."""
     return np.concatenate([np.asarray(p.data).ravel() for p in params])
-
-
-def unflatten_into(flat: np.ndarray, arrays) -> None:
-    """Scatter a flat vector back over ``arrays`` in order, in place."""
-    offset = 0
-    for a in arrays:
-        n = a.size
-        a[...] = flat[offset : offset + n].reshape(a.shape)
-        offset += n

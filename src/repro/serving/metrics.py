@@ -66,11 +66,6 @@ class RequestRecord:
     def latency(self) -> float:
         return self.finish - self.arrival
 
-    @property
-    def queue_wait(self) -> float:
-        """Time spent batched/queued before the replica started serving."""
-        return self.dispatch - self.arrival
-
 
 @dataclass
 class ServingReport:
@@ -148,14 +143,6 @@ class ServingReport:
         if busy.size == 0 or busy.mean() <= 0:
             return 1.0
         return float(busy.max() / busy.mean())
-
-    @property
-    def utilization_cv(self) -> float:
-        """Coefficient of variation of per-replica busy seconds."""
-        busy = self.replica_busy
-        if busy.size == 0 or busy.mean() <= 0:
-            return 0.0
-        return float(busy.std() / busy.mean())
 
     @property
     def mean_batch_fill(self) -> float:

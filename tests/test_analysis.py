@@ -15,7 +15,11 @@ from repro.analysis import (
 from repro.analysis.lint import lint_paths
 from repro.autograd import Tensor
 from repro.autograd.engine import Mul
+from repro.kernels import channelwise_tp_table
+from repro.kernels.channelwise_tp import _ChannelwiseTPOptimized
+from repro.mace import MACE, MACEConfig
 from repro.runtime import CompiledPlan, PlanCache, record_tape
+from repro.training import Trainer
 
 
 def _training_like_plan(rng):
@@ -123,6 +127,42 @@ class TestVerifierCorruptions:
         cache.put("key", plan)
         assert cache.get("key") is plan
         assert cache.stats()["verified"] == 0
+
+
+class TestRestrictedTPTrainingPlan:
+    """A captured training step runs layer 0's TP on the scalar-only
+    table; the verifier checks its sender width through the same table
+    property the kernels use."""
+
+    def _capture(self, small_graphs, monkeypatch):
+        plans = []
+        put = PlanCache.put
+
+        def spy(cache, key, plan):
+            plans.append(plan)
+            return put(cache, key, plan)
+
+        monkeypatch.setattr(PlanCache, "put", spy)
+        cfg = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
+        trainer = Trainer(MACE(cfg, seed=0), small_graphs[:2], plan_cache=PlanCache())
+        trainer.train_step([0, 1])
+        (plan,) = plans
+        tp = [i for i in plan._forward if isinstance(i.fn, _ChannelwiseTPOptimized)]
+        return plan, tp
+
+    def test_training_plan_verifies(self, small_graphs, monkeypatch):
+        plan, tp = self._capture(small_graphs, monkeypatch)
+        assert [i.args[3].h_lmax for i in tp] == [0, 1]
+        stats = verify_plan(plan)
+        assert stats["specs_checked"] == stats["forward_ops"]
+
+    def test_full_table_on_scalar_features_rejected(self, small_graphs, monkeypatch):
+        plan, tp = self._capture(small_graphs, monkeypatch)
+        scalar = tp[0].args[3]
+        full = channelwise_tp_table(scalar.l1max, scalar.l2max, scalar.l3max)
+        tp[0].args[3] = full
+        with pytest.raises(PlanInvalid, match=r"h must be \(E, K, 4\)"):
+            verify_plan(plan)
 
 
 class TestSpecInference:

@@ -132,6 +132,64 @@ class TestChannelwiseTP:
             channelwise_tp_optimized(Y, h, Tensor(np.zeros((6, 3, 1))), TP_TABLE)
 
 
+class TestRestrictedTable:
+    """A table restricted to scalar sender features (``h_lmax=0``) equals
+    the full table fed zero-padded ``h``: MACE's first interaction."""
+
+    def test_structure(self):
+        full = channelwise_tp_table(3, 1, 2)  # MACEConfig's default caps
+        scalar = channelwise_tp_table(3, 1, 2, h_lmax=0)
+        assert scalar.paths == full.paths  # R keeps its width
+        assert (scalar.h_dim, full.h_dim) == (1, sh_dim(1))
+        assert (scalar.nnz, full.nnz) == (9, 80)
+        assert (scalar.n_pairs, full.n_pairs) == (3, 24)
+        assert [scalar.paths[p] for p in scalar.pair_path] == [
+            (0, 0, 0), (1, 0, 1), (2, 0, 2)
+        ]
+        assert np.all(scalar.i2 == 0)
+        assert scalar.dense_mults() < full.dense_mults()
+
+    def test_cache_and_validation(self):
+        assert channelwise_tp_table(2, 1, 2, h_lmax=1) is TP_TABLE
+        assert channelwise_tp_table(2, 1, 2, 0) is channelwise_tp_table(2, 1, 2, 0)
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="h_lmax"):
+                channelwise_tp_table(2, 1, 2, h_lmax=bad)
+
+    @pytest.mark.parametrize("fn", [channelwise_tp_baseline, channelwise_tp_optimized])
+    def test_matches_full_table_on_zero_padded_h(self, fn, rng):
+        scalar = channelwise_tp_table(2, 1, 2, h_lmax=0)
+        E, K = 7, 3
+        Y_data = rng.standard_normal((E, sh_dim(2)))
+        h_data = rng.standard_normal((E, K, 1))
+        R_data = rng.standard_normal((E, K, TP_TABLE.num_paths))
+        g = rng.standard_normal((E, K, sh_dim(2)))
+        padded = np.concatenate([h_data, np.zeros((E, K, sh_dim(1) - 1))], axis=2)
+        results = []
+        for h_in, table in ((h_data, scalar), (padded, TP_TABLE)):
+            Y, h, R = (Tensor(a.copy(), requires_grad=True) for a in (Y_data, h_in, R_data))
+            out = fn(Y, h, R, table)
+            out.backward(g)
+            results.append((out.numpy(), Y.grad, h.grad[:, :, :1], R.grad))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_rejects_full_width_h(self, rng):
+        scalar = channelwise_tp_table(2, 1, 2, h_lmax=0)
+        Y, h, R = _tp_inputs(rng)
+        for fn in (channelwise_tp_baseline, channelwise_tp_optimized):
+            with pytest.raises(ValueError, match=r"h must be \(E, K, 1\)"):
+                fn(Y, h, R, scalar)
+
+    @pytest.mark.parametrize("fn", [channelwise_tp_baseline, channelwise_tp_optimized])
+    def test_gradients(self, fn, rng):
+        scalar = channelwise_tp_table(2, 1, 2, h_lmax=0)
+        Y = Tensor(rng.standard_normal((3, sh_dim(2))))
+        h = Tensor(rng.standard_normal((3, 2, 1)))
+        R = Tensor(rng.standard_normal((3, 2, scalar.num_paths)))
+        check_gradients(lambda Y, h, R: (fn(Y, h, R, scalar) ** 2.0).sum(), [Y, h, R])
+
+
 class TestSymContractionSpec:
     def test_weight_layout_order(self):
         layout = weight_layout(SC_SPEC)

@@ -8,6 +8,7 @@ import pytest
 from repro.autograd import Tensor, check_gradients
 from repro.equivariant import random_rotation
 from repro.graphs import MolecularGraph, build_neighbor_list, collate
+from repro.kernels import channelwise_tp_table
 from repro.mace import (
     MACE,
     MACEConfig,
@@ -17,6 +18,7 @@ from repro.mace import (
     edge_vectors,
     polynomial_cutoff,
 )
+from repro.runtime import PlanCache
 
 CFG = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
 
@@ -234,3 +236,89 @@ class TestMACEModel:
         trainer = Trainer(model, small_graphs[:2], lr=0.01)
         losses = [trainer.train_step([0, 1]) for _ in range(10)]
         assert losses[-1] < losses[0]
+
+
+def _full_table_reference(model):
+    """A copy of ``model`` whose first interaction runs on the full TP
+    table, gathering the zero-padded ``l > 0`` sender features too."""
+    ref = copy.deepcopy(model)
+    cfg = model.cfg
+    ref.layer0.tp_table = channelwise_tp_table(cfg.lmax_sh, cfg.l_hidden, cfg.l_atomic_basis)
+    return ref
+
+
+def _eager_pass(model, batch):
+    """Energies, forces and parameter gradients of one eager pass."""
+    positions = Tensor(batch.positions.copy(), requires_grad=True)
+    for p in model.parameters():
+        p.zero_grad()
+    energies = model.forward(batch, positions=positions)
+    # Weight the graphs unequally so every per-graph energy matters.
+    (energies * Tensor(np.arange(1.0, batch.n_graphs + 1.0))).sum().backward()
+    grads = {name: p.grad.copy() for name, p in model.named_parameters()}
+    return energies.numpy(), -positions.grad, grads
+
+
+def _assert_rel_close(got, want, tol=1e-12):
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= tol * scale
+
+
+class TestScalarFirstInteraction:
+    """Layer 0's sender features are scalar-only, so it runs a TP table
+    restricted to ``l2 = 0``; results equal the full-table model."""
+
+    def test_layer_tables(self):
+        model = MACE(CFG, seed=0)
+        full = _full_table_reference(model).layer0.tp_table
+        assert model.layer0.tp_table.h_lmax == 0
+        assert model.layer0.tp_table.paths == full.paths
+        for t in range(1, CFG.n_layers):
+            assert getattr(model, f"layer{t}").tp_table is full
+        shapes = {n: p.shape for n, p in model.named_parameters()}
+        ref_shapes = {n: p.shape for n, p in _full_table_reference(model).named_parameters()}
+        assert shapes == ref_shapes
+
+    @pytest.mark.parametrize("variant", ["optimized", "baseline"])
+    def test_matches_full_table_reference(self, variant, small_graphs):
+        model = MACE(CFG.with_variant(variant), seed=3)
+        batch = collate(small_graphs)
+        e, f, grads = _eager_pass(model, batch)
+        e_ref, f_ref, grads_ref = _eager_pass(_full_table_reference(model), batch)
+        _assert_rel_close(e, e_ref)
+        np.testing.assert_allclose(f, f_ref, rtol=0.0, atol=1e-12)
+        assert grads.keys() == grads_ref.keys()
+        for name in grads:
+            _assert_rel_close(grads[name], grads_ref[name])
+
+    def test_compiled_paths_match_full_table_reference(self, small_graphs):
+        """Compiled energy and force plans of the restricted model replay
+        the eager full-table answers."""
+        model = MACE(CFG, seed=0)
+        ref = _full_table_reference(model)
+        batch = collate(small_graphs[:3])
+        cache = PlanCache()
+        e_ref, f_ref = ref.energy_and_forces(batch)
+        for _ in range(2):  # capture, then replay
+            assert np.abs(model.predict_energy(batch, compiled=cache) - e_ref).max() < 1e-10
+            e_c, f_c = model.energy_and_forces(batch, compiled=cache)
+            assert np.abs(e_c - e_ref).max() < 1e-10
+            assert np.abs(f_c - f_ref).max() < 1e-10
+        assert cache.hits == 2
+
+    def test_padded_md_force_plan_matches_full_table_reference(self, rng):
+        from repro.data import generate_structure
+        from repro.md import MACECalculator
+
+        g = generate_structure("Water clusters", rng, n_atoms=9)
+        model = MACE(CFG, seed=0)
+        e0, f0 = MACECalculator(
+            _full_table_reference(model), cutoff=4.5, compiled=None, pad_edges=False
+        ).energy_and_forces(MolecularGraph(g.positions.copy(), g.species.copy()))
+        calc = MACECalculator(model, cutoff=4.5)
+        assert calc.pad_edges
+        for _ in range(2):  # capture, then replay
+            e1, f1 = calc.energy_and_forces(MolecularGraph(g.positions.copy(), g.species.copy()))
+            assert e1 == pytest.approx(e0, abs=1e-12)
+            np.testing.assert_allclose(f1, f0, atol=1e-12)
+        assert calc.plan_cache.hits == 1
