@@ -19,6 +19,16 @@ Two measurements, each gating an acceptance criterion of the
    planning.  Planning cost is timed across index sizes to show it
    scales with the index, not payload bytes.
 
+3. **Shuffled default-configuration training** — ``Trainer.fit``'s
+   loop in the default configuration (``MACEConfig()``, the ``Trainer``
+   defaults, a shuffled ``BalancedDistributedSampler`` at ``C = 128``)
+   with the default plan cache against ``plan_cache=None``, epochs
+   interleaved.  Gates: after the warm-up epoch at least 95% of loss
+   steps replay a captured plan (a counted, load-insensitive check),
+   the best steady-state epoch is faster than the best eager epoch
+   (the ratio is printed against the 1.3x target), and both trainers'
+   per-step losses agree to 1e-12.
+
 Run standalone::
 
     python benchmarks/bench_data.py          # full workload
@@ -52,6 +62,7 @@ from repro.data import (  # noqa: E402
     pack_training_set,
 )
 from repro.distribution import BalancedDistributedSampler  # noqa: E402
+from repro.graphs.pipeline import epoch_plan_bins  # noqa: E402
 from repro.mace import MACE, MACEConfig  # noqa: E402
 from repro.training import Trainer  # noqa: E402
 
@@ -230,6 +241,64 @@ def bench_payload_free_planning(
     return failures
 
 
+def bench_shuffled_default(n_samples: int, n_epochs: int) -> list:
+    """Default-configuration shuffled training, plans on vs off."""
+    failures = []
+    graphs = attach_labels(build_training_set(n_samples, seed=0, max_atoms=100))
+    sampler = BalancedDistributedSampler(
+        [g.n_atoms for g in graphs], 128, num_replicas=1, seed=1
+    )
+    trainers = {
+        "plans": Trainer(MACE(MACEConfig(), seed=1), graphs),
+        "eager": Trainer(MACE(MACEConfig(), seed=1), graphs, plan_cache=None),
+    }
+    cache = trainers["plans"].plan_cache
+    times = {name: [] for name in trainers}
+    worst = 0.0
+    steps = 0
+    for epoch in range(n_epochs):
+        bins = epoch_plan_bins(sampler, epoch, 0)
+        steps += len(bins)
+        if epoch == 1:
+            hits0, misses0 = cache.hits, cache.misses
+        # Alternate which trainer runs first so neither always gets the
+        # warmer caches; fit's loop is train_epoch_bins + scheduler.step.
+        names = ["plans", "eager"] if epoch % 2 else ["eager", "plans"]
+        losses = {}
+        for name in names:
+            t0 = time.perf_counter()
+            losses[name] = trainers[name].train_epoch_bins(bins)
+            times[name].append(time.perf_counter() - t0)
+            trainers[name].scheduler.step()
+        for a, b in zip(losses["plans"], losses["eager"]):
+            worst = max(worst, abs(a - b) / abs(b))
+        print(
+            f"[shuffled]   epoch {epoch}: {len(bins)} bins, plans "
+            f"{times['plans'][-1] * 1e3:7.1f} ms  eager {times['eager'][-1] * 1e3:7.1f} ms"
+            + ("  (warm-up)" if epoch == 0 else "")
+        )
+    hits, misses = cache.hits - hits0, cache.misses - misses0
+    hit_rate = hits / (hits + misses)
+    best_plan, best_eager = min(times["plans"][1:]), min(times["eager"][1:])
+    ratio = best_eager / best_plan
+    print(
+        f"[shuffled]   {cache.captures} plans for {steps} steps; "
+        f"hit rate after epoch 0 {hit_rate:.1%} (gate >= 95%)"
+    )
+    print(
+        f"[shuffled]   best steady-state epoch: plans {best_plan * 1e3:.1f} ms "
+        f"vs eager {best_eager * 1e3:.1f} ms -> {ratio:.2f}x "
+        f"(gate > 1.00x, target 1.30x); loss agreement {worst:.1e} (gate 1e-12)"
+    )
+    if hit_rate < 0.95:
+        failures.append(f"plan hit rate after epoch 0 {hit_rate:.1%} below 95%")
+    if ratio <= 1.0:
+        failures.append(f"planned epoch {ratio:.2f}x, not faster than plan_cache=None")
+    if worst > 1e-12:
+        failures.append(f"planned and eager losses differ by {worst:.1e} (relative)")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -239,8 +308,10 @@ def main(argv=None) -> int:
 
     if args.smoke:
         n_samples, shard_size, capacity, n_epochs, channels = 32, 8, 128, 4, 8
+        shuffled = (64, 5)  # structures, epochs of the shuffled section
     else:
         n_samples, shard_size, capacity, n_epochs, channels = 96, 16, 192, 4, 8
+        shuffled = (160, 5)
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="bench-data-") as tmp:
@@ -252,6 +323,7 @@ def main(argv=None) -> int:
         failures += bench_payload_free_planning(
             root, n_samples, shard_size, capacity
         )
+    failures += bench_shuffled_default(*shuffled)
 
     for f in failures:
         print(f"FAIL: {f}")

@@ -404,14 +404,16 @@ def _channelwise_tp(args, kwargs) -> ArraySpec:
 
 
 def _sym_contraction(args, kwargs) -> ArraySpec:
-    a, weights = args[0], args[1:]
+    a, species, weights = args[0], args[1], args[2:]
     spec = kwargs["spec"]
-    species = np.asarray(kwargs["species"])
     _require(
         a.ndim == 3 and a.shape[2] == _sh_dim(spec.lmax),
         f"A must be (N, K, {_sh_dim(spec.lmax)}), got {a.shape}",
     )
     _require(species.shape == a.shape[:1], "species must have one entry per atom")
+    _require(
+        species.dtype.kind in "iu", f"species must be integral, got {species.dtype}"
+    )
     _require(
         len(weights) == len(spec.blocks),
         f"expected {len(spec.blocks)} weight tensors, got {len(weights)}",

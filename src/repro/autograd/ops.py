@@ -37,29 +37,41 @@ def _scatter_add_rows(
 
     Eager execution creates a fresh ``Function`` per call, so the first
     call takes the plain ``np.add.at`` path and merely remembers the
-    index array.  A *replayed* instance (see :mod:`repro.runtime`) is
-    called repeatedly with the identical index object; from the second
-    call on it scatters through a memoized stable-sort + ``reduceat``
-    plan, which is severalfold faster on wide rows.  The stable sort
-    preserves the per-segment contribution order, so results match the
-    ``add.at`` path to summation-reassociation error (~1e-15), within
-    the runtime's 1e-10 equivalence contract.
+    index array.  A *replayed* instance (see :mod:`repro.runtime`)
+    scatters through a stable-sort + ``reduceat`` plan, which is
+    severalfold faster on wide rows: memoized from the second call on
+    while the index object stays the same (a folded or reused index),
+    and rebuilt per call for wide rows when the index is a fresh plan
+    input each replay (training plans bind each batch's edges).  An
+    index array bound as a plan input must therefore never be mutated
+    in place between replays.  The stable sort preserves the
+    per-segment contribution order, so results match the ``add.at``
+    path to summation-reassociation error (~1e-15), within the
+    runtime's 1e-10 equivalence contract.
     """
     state = fn.__dict__.get("_scatter_plan")
     if out is None:
         out = np.zeros(shape, dtype=np.float64)
     else:
         out.fill(0.0)
-    if state is None or state[0] is not index:
+    if state is None or (state[0] is not index and values.ndim == 1):
         fn._scatter_plan = (index, None)
         np.add.at(out, index, values)
         return out
-    plan = state[1]
+    plan = state[1] if state[0] is index else None
     if plan is None:
-        order = np.argsort(index, kind="stable")
-        sorted_ids = index[order]
+        # An already sorted index (training plans bind receiver-sorted
+        # edges) needs neither the sort nor the row permutation.
+        if index.size > 1 and (index[1:] < index[:-1]).any():
+            order = np.argsort(index, kind="stable")
+            sorted_ids = index[order]
+        else:
+            order = None
+            sorted_ids = index
         if sorted_ids.size:
-            starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+            starts = np.concatenate(
+                ([0], np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1)
+            )
             segments = sorted_ids[starts]
         else:
             starts = segments = sorted_ids
@@ -67,7 +79,8 @@ def _scatter_add_rows(
         fn._scatter_plan = (index, plan)
     order, segments, starts = plan
     if starts.size:
-        out[segments] = np.add.reduceat(values[order], starts, axis=0)
+        rows = values if order is None else values[order]
+        out[segments] = np.add.reduceat(rows, starts, axis=0)
     return out
 
 

@@ -7,7 +7,7 @@ from .neighborlist import (
     build_neighbor_list,
     cell_list_neighbor_list,
 )
-from .batch import GraphBatch, collate
+from .batch import GraphBatch, bucket_capacity, collate, pad_batch, pad_edges
 from .pipeline import (
     DEFAULT_SKIN,
     CollateCache,
@@ -21,6 +21,9 @@ __all__ = [
     "SPECIES_LIST",
     "GraphBatch",
     "collate",
+    "bucket_capacity",
+    "pad_batch",
+    "pad_edges",
     "build_neighbor_list",
     "brute_force_neighbor_list",
     "cell_list_neighbor_list",

@@ -7,6 +7,14 @@ component.  The batch additionally records *padding*: when the batch is
 allocated at a fixed token capacity (the bin size ``C`` of the load
 balancer), any capacity not filled by real atoms is zero-padded memory —
 the quantity objective (4) of the bin-packing formulation minimizes.
+
+Compiled plans (:mod:`repro.runtime`) go one step further and
+*materialize* that padding: :func:`pad_batch` copies a batch into fixed
+atom / edge / graph capacities — a plan's shape bucket — so every batch
+of a bucket binds the same array shapes as replay inputs.
+:func:`bucket_capacity` is the capacity ladder for the counts a bin
+capacity does not fix, and :func:`pad_edges` the ghost-edge padding
+shared by training and padded MD.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .molecular_graph import MolecularGraph
 
-__all__ = ["GraphBatch", "collate"]
+__all__ = ["GraphBatch", "bucket_capacity", "collate", "pad_batch", "pad_edges"]
 
 
 @dataclass
@@ -63,7 +71,7 @@ class GraphBatch:
 
     @property
     def n_atoms(self) -> int:
-        """Real (non-padding) token count."""
+        """Token count (ghost atoms included for a :func:`pad_batch` copy)."""
         return int(self.positions.shape[0])
 
     @property
@@ -137,3 +145,107 @@ def collate(
             f"batch holds {batch.n_atoms} tokens, over capacity {capacity}"
         )
     return batch
+
+
+# Ladder resolution: rungs are multiples of 2**(bit_length(n) - 4), i.e.
+# 8 rungs per octave, so padding stays under 1/8 of the count.  The
+# lowest rung keeps padded arrays non-empty (an edgeless bin still gets
+# ghost edges).
+_LADDER_BITS = 3
+_LADDER_MIN = 16
+
+
+def bucket_capacity(n: int) -> int:
+    """The smallest capacity rung holding ``n`` items.
+
+    Rungs are spaced geometrically — multiples of 256 between 2048 and
+    4096, of 128 between 1024 and 2048, and so on, from 16 up — so a run
+    over batches of similar size visits a handful of buckets while
+    padding stays below 12.5% of the count (about 4% on average).
+    """
+    n = max(int(n), _LADDER_MIN)
+    step = 1 << max(n.bit_length() - 1 - _LADDER_BITS, 0)
+    return -(-n // step) * step
+
+
+def pad_edges(
+    edge_index: np.ndarray,
+    edge_shift: np.ndarray,
+    capacity: int,
+    ghost_length: float,
+    ghost_atom: int = 0,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Pad an edge set to ``capacity`` edges with ghost edges.
+
+    Ghost edges are self-edges on ``ghost_atom`` displaced by
+    ``ghost_length`` along x: finite geometry, so every per-edge feature
+    stays finite, and the model zeroes their messages through its edge
+    mask (a mask input, or the ``masked_cutoff`` radius when
+    ``ghost_length`` exceeds it).
+    """
+    pad = int(capacity) - edge_index.shape[1]
+    if pad < 0:
+        raise ValueError(
+            f"{edge_index.shape[1]} edges do not fit edge capacity {capacity}"
+        )
+    ghost_index = np.full((2, pad), ghost_atom, dtype=edge_index.dtype)
+    ghost_shift = np.zeros((pad, 3))
+    ghost_shift[:, 0] = ghost_length
+    return (
+        np.concatenate([edge_index, ghost_index], axis=1),
+        np.concatenate([edge_shift, ghost_shift], axis=0),
+    )
+
+
+def pad_batch(
+    batch: GraphBatch,
+    atom_capacity: int,
+    edge_capacity: int,
+    graph_capacity: int,
+    ghost_length: float,
+) -> GraphBatch:
+    """Copy ``batch`` into fixed atom / edge / graph capacities.
+
+    Ghost atoms fill rows ``batch.n_atoms`` onward: they sit at the
+    origin with the first atom's species, have no real edges, and
+    belong to the last graph slot, a dummy graph (graph slots past the
+    batch's own graphs hold no real atoms and have energy 0).  Real
+    edges are reordered by receiver (stable) and the ghost edges of
+    :func:`pad_edges` sit on the last atom, so the receiver column is
+    sorted and every segment sum onto atoms reduces contiguous rows.
+    The copy is float64 / int64 whatever the input dtypes, so every
+    batch of one bucket binds identically typed arrays.
+    ``graph_capacity`` must leave room for the dummy graph.
+    """
+    n, g = batch.n_atoms, batch.n_graphs
+    if atom_capacity < n or graph_capacity < g + 1:
+        raise ValueError(
+            f"batch of {n} atoms / {g} graphs does not fit capacities "
+            f"{atom_capacity} / {graph_capacity} (one graph slot is the dummy)"
+        )
+    positions = np.zeros((atom_capacity, 3))
+    positions[:n] = batch.positions
+    species = np.full(atom_capacity, batch.species[0], dtype=np.int64)
+    species[:n] = batch.species
+    graph_index = np.full(atom_capacity, graph_capacity - 1, dtype=np.int64)
+    graph_index[:n] = batch.graph_index
+    energies = np.zeros(graph_capacity)
+    energies[:g] = batch.energies
+    by_receiver = np.argsort(batch.edge_index[1], kind="stable")
+    edge_index, edge_shift = pad_edges(
+        batch.edge_index[:, by_receiver].astype(np.int64, copy=False),
+        batch.edge_shift[by_receiver],
+        edge_capacity,
+        ghost_length,
+        ghost_atom=atom_capacity - 1,
+    )
+    return GraphBatch(
+        positions=positions,
+        species=species,
+        edge_index=edge_index,
+        edge_shift=edge_shift,
+        graph_index=graph_index,
+        n_graphs=graph_capacity,
+        energies=energies,
+        capacity=atom_capacity,
+    )

@@ -380,10 +380,16 @@ class _ChannelwiseTPOptimized(Function):
         state = self.__dict__.get("_m_cache") if memo_ok else None
         if state is not None and state[0] is Y:
             M = state[1]
-        else:
+        elif memo_ok or not self.replay_scratch:
             M = (Y @ table.reduce_y).reshape(E, table.n_pairs, d3)
             if memo_ok:
                 self._m_cache = (Y, M)
+        else:
+            # Y is recomputed every replay (a plan input drives it): M
+            # goes to reused scratch instead of a fresh allocation.
+            M = np.matmul(
+                Y, table.reduce_y, out=self._scratch("M", (E, table.reduce_y.shape[1]))
+            ).reshape(E, table.n_pairs, d3)
         pair_shape = (E, K, table.n_pairs)
         small = self.replay_scratch and E * K * table.n_pairs <= _PAIR_SAVE_MAX
         if small:
@@ -451,14 +457,14 @@ class _ChannelwiseTPOptimized(Function):
                     if small
                     else g_hr * Rp
                 )
-                gh = (tmp.reshape(E * K, -1) @ table.scatter_h).reshape(h.shape)
+                gh = (tmp.reshape(E * K, table.n_pairs) @ table.scatter_h).reshape(h.shape)
             if need_r:
                 tmp = (
                     np.multiply(g_hr, hp, out=self._scratch("g_hr_hp", pair_shape))
                     if small
                     else g_hr * hp
                 )
-                gR = (tmp.reshape(E * K, -1) @ table.scatter_path).reshape(R.shape)
+                gR = (tmp.reshape(E * K, table.n_pairs) @ table.scatter_path).reshape(R.shape)
         if need_y:
             # d(M) reduces over channels, then the transposed Y reduction.
             gM = np.matmul(
@@ -468,7 +474,7 @@ class _ChannelwiseTPOptimized(Function):
                 if small
                 else None,
             )  # (E, n_pairs, d3)
-            gY = gM.reshape(E, -1) @ table.reduce_y.T
+            gY = gM.reshape(E, table.reduce_y.shape[1]) @ table.reduce_y.T
         return gY, gh, gR, None
 
 

@@ -385,7 +385,7 @@ def _check_inputs(A: np.ndarray, species: np.ndarray, weights, spec: SymContract
 class _SymContractionBaseline(Function):
     """Dense per-pattern chain (emulates the original e3nn implementation)."""
 
-    def forward(self, A, *weights, species: np.ndarray, spec: SymContractionSpec):
+    def forward(self, A, species, *weights, spec: SymContractionSpec):
         _check_inputs(A, species, weights, spec)
         self.saved = (A, species, weights, spec)
         N, K = A.shape[0], A.shape[1]
@@ -460,7 +460,7 @@ class _SymContractionBaseline(Function):
                     gA_f = np.einsum(spec_b, wg, *others, dense, optimize=True)
                     l = path.ls[f]
                     gA[:, :, l * l : (l + 1) * (l + 1)] += gA_f
-        return (gA, *gws)
+        return (gA, None, *gws)
 
 
 _DENSE_CACHE: Dict[tuple, np.ndarray] = {}
@@ -503,7 +503,7 @@ class _SymContractionOptimized(Function):
 
     supports_out = True  # (N, K, out_dim) accumulator: out may not alias A
 
-    def forward(self, A, *weights, species: np.ndarray, spec: SymContractionSpec, out=None):
+    def forward(self, A, species, *weights, spec: SymContractionSpec, out=None):
         _check_inputs(A, species, weights, spec)
         N, K = A.shape[0], A.shape[1]
         NK = N * K
@@ -566,11 +566,12 @@ class _SymContractionOptimized(Function):
         A, species, weights, spec, A2T, forest_products, saved_G = self.saved
         N, K = A.shape[0], A.shape[1]
         NK = N * K
-        mask = self.grad_mask or (True,) * (1 + len(weights))
+        # Mask order follows the operands: A, species, then the weights.
+        mask = self.grad_mask or (True,) * (2 + len(weights))
         need_a = mask[0]
         gA2T = np.zeros_like(A2T)
         gws = [
-            np.zeros_like(wt) if mask[1 + i] else None
+            np.zeros_like(wt) if mask[2 + i] else None
             for i, wt in enumerate(weights)
         ]
         # One species selection matrix shared by every block: the
@@ -578,7 +579,7 @@ class _SymContractionOptimized(Function):
         # becomes a single GEMM against it (replacing the per-block
         # np.add.at scatters).
         n_species = weights[0].shape[0]
-        if any(mask[1:]):
+        if any(mask[2:]):
             sp_select = np.zeros((n_species, N))
             sp_select[species, np.arange(N)] = 1.0
         g_forest = {forest.nu: None for forest in spec.forests}
@@ -589,7 +590,7 @@ class _SymContractionOptimized(Function):
             g_blockT = np.ascontiguousarray(
                 grad[:, :, base : base + M].reshape(NK, M).T
             )  # (M, NK)
-            if mask[1 + w_i]:
+            if mask[2 + w_i]:
                 # dW: small contraction, then segment-reduce atoms ->
                 # species rows.
                 if G_T.size <= _SMALL_CONTRACT_MAX:
@@ -629,12 +630,24 @@ class _SymContractionOptimized(Function):
                     # nu == 1: products were direct gathers of the (unique,
                     # sorted) tuple rows.
                     gA2T[forest.tuple_cols] += g_cur
-        return (gA2T.T.reshape(A.shape) if need_a else None, *gws)
+        return (gA2T.T.reshape(A.shape) if need_a else None, None, *gws)
+
+
+def _species_operand(species) -> Tensor:
+    """Species indices as an integer operand Tensor.
+
+    Species are a positional operand rather than a constant keyword, so
+    a compiled plan that lists the Tensor among its inputs rebinds them
+    per replay (training plans bind each batch's species this way).
+    """
+    if isinstance(species, Tensor):
+        return species
+    return Tensor(np.asarray(species, dtype=np.int64))
 
 
 def symmetric_contraction_baseline(
     A: Tensor,
-    species: np.ndarray,
+    species,
     weights: Sequence[Tensor],
     spec: SymContractionSpec,
 ) -> Tensor:
@@ -645,7 +658,9 @@ def symmetric_contraction_baseline(
     A:
         ``(N, K, (lmax+1)^2)`` atomic-basis features.
     species:
-        ``(N,)`` species *indices* (rows of the weight tensors).
+        ``(N,)`` species *indices* (rows of the weight tensors): an
+        integer array, or an integer :class:`Tensor` to make them a
+        replayable plan input.
     weights:
         One ``(n_species, K, n_paths)`` tensor per ``(nu, L)`` block, in
         :func:`weight_layout` order.
@@ -656,14 +671,12 @@ def symmetric_contraction_baseline(
     -------
     ``(N, K, (L_max+1)^2)`` higher body-order messages.
     """
-    return _SymContractionBaseline.apply(
-        A, *weights, species=np.asarray(species, dtype=np.int64), spec=spec
-    )
+    return _SymContractionBaseline.apply(A, _species_operand(species), *weights, spec=spec)
 
 
 def symmetric_contraction_optimized(
     A: Tensor,
-    species: np.ndarray,
+    species,
     weights: Sequence[Tensor],
     spec: SymContractionSpec,
 ) -> Tensor:
@@ -671,6 +684,4 @@ def symmetric_contraction_optimized(
 
     Numerically identical to :func:`symmetric_contraction_baseline`.
     """
-    return _SymContractionOptimized.apply(
-        A, *weights, species=np.asarray(species, dtype=np.int64), spec=spec
-    )
+    return _SymContractionOptimized.apply(A, _species_operand(species), *weights, spec=spec)

@@ -107,20 +107,22 @@ class InteractionLayer(Module):
         Y: Tensor,
         r: Tensor,
         edge_index,  # (2, E) array or (send, recv) pair; rows may be Tensors
-        species_idx: np.ndarray,
+        species_idx,  # (N,) array or integer Tensor
         edge_mask: Optional[Tensor] = None,
     ) -> Tensor:
         cfg = self.cfg
         send, recv = edge_index
         n_atoms = h.shape[0]
         R = self.radial(r)  # (E, K, n_paths)
-        if edge_mask is not None:
-            # Padded-MD path: zero the radial weights of out-of-cutoff
-            # (candidate/ghost) edges so they contribute exactly nothing.
-            R = R * edge_mask
         h_dim = self.tp_table.h_dim
         h_send = h if h.shape[2] == h_dim else h[:, :, :h_dim]
         h_j = gather_rows(h_send, send)  # sender features on edges
+        if edge_mask is not None:
+            # Padded batches: zero the sender features of masked
+            # (out-of-cutoff or ghost) edges.  The tensor product is
+            # linear in them, so those edges contribute exactly nothing,
+            # and h_j is several times narrower than the radial weights.
+            h_j = h_j * edge_mask
         if cfg.kernel_variant == "optimized":
             A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
         else:
@@ -185,22 +187,40 @@ class MACE(Module):
         batch: GraphBatch,
         positions: Optional[Tensor] = None,
         edges: Optional[Tuple] = None,
+        species: Optional[Tensor] = None,
+        graph_index: Optional[Tensor] = None,
+        edge_mask: Optional[Tensor] = None,
     ) -> Tensor:
         """Per-graph total energies, shape ``(n_graphs,)``.
 
         Pass a ``positions`` tensor with ``requires_grad=True`` to obtain
-        forces via ``backward`` (see :meth:`forces`).  ``edges`` optionally
-        overrides the batch's edge arrays with a ``(send, recv, shift)``
-        triple of (integer) tensors, making the edge set a replayable
-        plan input instead of a folded constant — the padded-MD path
-        threads the Verlet candidate arrays through here so a
-        neighbor-list rebuild into the same capacity bucket re-hits the
-        compiled plan.
+        forces via ``backward`` (see :meth:`forces`).  The other keyword
+        tensors override batch arrays so a compiled plan listing them
+        among its inputs rebinds them per replay instead of folding
+        them as constants:
+
+        * ``edges`` — a ``(send, recv, shift)`` triple of (integer)
+          tensors.  The padded-MD path threads the Verlet candidate
+          arrays through here so a neighbor-list rebuild into the same
+          capacity bucket re-hits the compiled plan;
+        * ``species`` — ``(N,)`` embedding-row indices (already mapped
+          by :meth:`species_indices`);
+        * ``graph_index`` — ``(N,)`` graph id of each atom;
+        * ``edge_mask`` — ``(E,)`` float, 1 for edges that count and 0
+          for ghost edges.  Without it a batch with ``masked_cutoff``
+          derives the mask from the edge lengths.
+
+        Training plans bind all of them (see
+        :meth:`repro.training.Trainer._loss_step`).
         """
         cfg = self.cfg
         if positions is None:
             positions = Tensor(batch.positions)
-        species_idx = self.species_indices(batch.species)
+        species_idx = (
+            self.species_indices(batch.species) if species is None else species
+        )
+        if graph_index is None:
+            graph_index = batch.graph_index
         n_atoms = batch.n_atoms
 
         if edges is None:
@@ -211,16 +231,16 @@ class MACE(Module):
         vec = edge_vectors(positions, (send, recv), shift)
         r = edge_lengths(vec)
         Y = edge_spherical_harmonics(vec, cfg.lmax_sh)
-        edge_mask = None
         masked_cutoff = getattr(batch, "masked_cutoff", None)
-        if masked_cutoff is not None:
+        if edge_mask is None and masked_cutoff is not None:
             # The batch carries a candidate edge superset (Verlet skin +
-            # ghost padding); mask each interaction's radial weights so
-            # only the within-cutoff edges contribute.  The mask is part
-            # of the recorded graph: plan replays recompute it from the
+            # ghost padding); mask each interaction's messages so only
+            # the within-cutoff edges contribute.  The mask is part of
+            # the recorded graph: plan replays recompute it from the
             # current positions, tracking edges that cross the cutoff.
-            mask = within_cutoff(r, masked_cutoff)
-            edge_mask = mask.reshape((batch.n_edges, 1, 1))
+            edge_mask = within_cutoff(r, masked_cutoff)
+        if edge_mask is not None:
+            edge_mask = edge_mask.reshape((batch.n_edges, 1, 1))
 
         # Embedding: degree-0 block carries the species embedding.
         h0 = self.embedding(species_idx)  # (N, K)
@@ -242,7 +262,7 @@ class MACE(Module):
             else:
                 contrib = self.readout_final(invariant)
             site_energy = site_energy + self.energy_scale * contrib.reshape((n_atoms,))
-        return segment_sum(site_energy, batch.graph_index, batch.n_graphs)
+        return segment_sum(site_energy, graph_index, batch.n_graphs)
 
     # -- compiled execution (repro.runtime) --------------------------------------
 

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..data.labels import ReferencePotential
-from ..graphs.batch import collate
+from ..graphs.batch import collate, pad_edges
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import DEFAULT_SKIN, NeighborListCache
 from ..runtime import resolve_plan_cache
@@ -123,9 +123,9 @@ class MACECalculator:
         The padded arrays are rebuilt only when the Verlet cache
         rebuilds its candidate list; between rebuilds every step sees
         bit-identical edge arrays, so force-plan signatures repeat and
-        replays hit.  Ghost edges are self-edges on atom 0 displaced by
-        ``2 * cutoff`` — beyond the cutoff, so the model's within-cutoff
-        mask zeroes their contribution exactly.
+        replays hit.  Ghost edges (:func:`repro.graphs.pad_edges`) are
+        displaced by ``2 * cutoff`` — beyond the cutoff, so the model's
+        within-cutoff mask zeroes their contribution exactly.
         """
         cache = self.neighbor_cache
         if self._pad_build != cache.rebuilds:
@@ -133,17 +133,16 @@ class MACECalculator:
             n_cand = cand_index.shape[1]
             want = -(-max(n_cand, 1) // EDGE_BUCKET) * EDGE_BUCKET
             self.edge_capacity = max(self.edge_capacity, want)
-            pad = self.edge_capacity - n_cand
-            ghost_index = np.zeros((2, pad), dtype=cand_index.dtype)
-            ghost_shift = np.zeros((pad, 3))
-            ghost_shift[:, 0] = 2.0 * cache.cutoff
+            edge_index, edge_shift = pad_edges(
+                cand_index, cand_shift, self.edge_capacity, 2.0 * cache.cutoff
+            )
             padded = MolecularGraph(
                 graph.positions,
                 graph.species,
                 cell=graph.cell,
                 pbc=graph.pbc,
-                edge_index=np.concatenate([cand_index, ghost_index], axis=1),
-                edge_shift=np.concatenate([cand_shift, ghost_shift], axis=0),
+                edge_index=edge_index,
+                edge_shift=edge_shift,
                 system=graph.system,
             )
             # The collated batch is cached between rebuilds — not just

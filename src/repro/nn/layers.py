@@ -173,10 +173,15 @@ class Embedding(Module):
         self.dim = dim
         self.weight = Parameter(rng.standard_normal((num_embeddings, dim)) / math.sqrt(dim))
 
-    def forward(self, ids: np.ndarray) -> Tensor:
+    def forward(self, ids) -> Tensor:
+        """Rows of the table; ``ids`` may be an integer :class:`Tensor`
+        to make the lookup a replayable plan input (see ``gather_rows``).
+        The range check covers the ids of this call only."""
         from ..autograd import gather_rows
 
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.min(initial=0) < 0 or (ids.size and ids.max() >= self.num_embeddings):
+        if not isinstance(ids, Tensor):
+            ids = np.asarray(ids, dtype=np.int64)
+        raw = ids.data if isinstance(ids, Tensor) else ids
+        if raw.min(initial=0) < 0 or (raw.size and raw.max() >= self.num_embeddings):
             raise IndexError("embedding id out of range")
         return gather_rows(self.weight, ids)

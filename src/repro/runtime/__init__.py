@@ -14,18 +14,19 @@ fixed shape buckets thousands of times.  The pieces:
   pass into a tape;
 * :class:`~repro.runtime.plan.CompiledPlan` — lowers the tape to a
   static, topo-ordered instruction list with resolved input slots,
-  dead-node elimination, constant folding of parameter-free subgraphs
-  (edge geometry, spherical harmonics, radial features in training
-  plans), a compiled backward with preallocated gradient buffers, and a
+  dead-node elimination, constant folding of subgraphs that depend on
+  no replay input or parameter, a compiled backward with preallocated
+  gradient buffers, and a
   guard-checked :meth:`~repro.runtime.plan.CompiledPlan.replay` that
   raises :class:`~repro.runtime.plan.PlanStale` instead of ever
   replaying stale shapes or dtypes;
-* :class:`~repro.runtime.cache.PlanCache` /
-  :func:`~repro.runtime.cache.batch_signature` — a bounded LRU keyed on
-  the same bin-composition fingerprint discipline as
-  :class:`repro.graphs.CollateCache`, so shape buckets hit compiled
-  plans and every invalidation event (new edge set, mutated positions,
-  relabeled targets, dtype drift) is a miss followed by recapture.
+* :class:`~repro.runtime.cache.PlanCache` — a bounded LRU of plans.
+  Training plans bind every per-batch array as an input of a batch
+  padded to its shape bucket and key on that shape alone; energy, force
+  and serving plans key on :func:`~repro.runtime.cache.batch_signature`,
+  a content digest of what they fold, so every invalidation event (new
+  edge set, mutated positions, dtype drift) is a miss followed by
+  recapture.
 
 Threaded through the stack by default — ``Trainer(plan_cache="auto")``,
 ``MACECalculator(compiled="auto")``, ``InferenceEngine(plan_cache=

@@ -1,17 +1,21 @@
-"""Plan caching keyed on shape-bucket signatures.
+"""Plan caching: the bounded LRU of compiled plans and its key helper.
 
 A :class:`~repro.runtime.plan.CompiledPlan` is specific to one *shape
-bucket*: one batch composition (atom/edge/graph layout, species, edge
-set) and — when the plan folded them as constants — one set of position
-and label arrays.  :func:`batch_signature` digests exactly those fields
-of a :class:`~repro.graphs.batch.GraphBatch`, mirroring the
-bin-composition fingerprint :class:`repro.graphs.CollateCache` computes
-for batches, so the training loop's repeated shape buckets hit compiled
-plans with the same key discipline that already governs collation reuse.
-Content-derived keys make every invalidation event a *miss* (never a
-stale replay): a changed neighbor list, mutated positions, relabeled
-energies or a different dtype simply produce a different signature and
-trigger a fresh capture, while the stale entry ages out of the LRU.
+bucket*.  How a caller names a bucket depends on what its plan binds as
+replay inputs:
+
+* **Training-loss plans** bind every per-batch array (positions,
+  species, edges, graph membership, targets, loss weights) as inputs of
+  a batch padded to fixed capacities, so their key is the bucket's
+  shape alone — ``(loss_weighting, atom_cap, edge_cap, graph_cap,
+  dtype)`` — with no hashing (see ``Trainer._loss_step``).
+* **Energy, force and serving plans** fold some batch content as
+  constants and key on :func:`batch_signature`, a content digest of
+  exactly those fields of a :class:`~repro.graphs.batch.GraphBatch`.
+  Content-derived keys make every invalidation event a *miss* (never a
+  stale replay): a changed neighbor list, mutated positions or a
+  different dtype simply produce a different signature and trigger a
+  fresh capture, while the stale entry ages out of the LRU.
 
 :class:`PlanCache` is the bounded LRU holding the plans, with hit /
 miss / capture / stale counters.  Hot-swapping a served model clears the
@@ -60,19 +64,18 @@ def _update(h, array: np.ndarray) -> None:
 def batch_signature(
     batch,
     include_positions: bool = True,
-    include_labels: bool = False,
     include_edges: bool = True,
 ) -> bytes:
-    """Digest of a batch's shape bucket for plan-cache keys.
+    """Content digest of a batch for energy/force/serving plan keys.
 
     Always covers the structural layout (species, graph membership, edge
     counts) plus the position array's dtype, so a dtype change can never
     replay a stale plan.  ``include_positions`` adds the position values
-    — required for plans that folded geometry as constants (energy and
-    training-loss plans); force plans rebind positions per replay and
-    leave it off so an MD trajectory keeps hitting one plan while its
-    edge set is stable.  ``include_labels`` adds the energy labels
-    (training-loss plans fold the targets).  ``include_edges=False``
+    — required for plans that folded geometry as constants (energy
+    plans); force plans rebind positions per replay and leave it off so
+    an MD trajectory keeps hitting one plan while its edge set is
+    stable.  Energy labels are not covered: no plan keyed here reads
+    them.  ``include_edges=False``
     drops the edge *content* while keeping the edge count and dtypes —
     for plans that bind the edge arrays as replay inputs (the padded-MD
     force plans), where a neighbor-list rebuild into the same capacity
@@ -99,8 +102,6 @@ def batch_signature(
         h.update(np.float64(masked).tobytes())
     if include_positions:
         _update(h, batch.positions)
-    if include_labels:
-        _update(h, batch.energies)
     return h.digest()
 
 

@@ -17,10 +17,10 @@ separates graph *capture* from graph *execution*:
   compile time, a mirrored reverse list of ``Function.backward`` calls
   with gradient-accumulation targets resolved to preallocated buffers,
   dead-node elimination for values nobody consumes, and constant folding
-  of subgraphs that depend on no replay input or parameter (for a
-  training-step plan this folds the whole edge-geometry pipeline —
-  spherical harmonics, Bessel features — which the eager loop recomputes
-  every step).
+  of subgraphs that depend on no replay input or parameter (for an
+  energy plan this folds the whole edge-geometry pipeline — spherical
+  harmonics, Bessel features — which the eager loop recomputes every
+  call).
 * :meth:`CompiledPlan.replay` re-executes the plan on fresh input arrays
   and freshly read parameter values with **no Tensor or tape
   allocation**, after a guard pass that verifies input/parameter shapes

@@ -17,22 +17,16 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..autograd import Tensor, weighted_mse
+from ..autograd import Tensor
 from ..autograd.engine import no_grad
 from ..data.labels import ReferencePotential, attach_labels
 from ..data.stream import StreamingLoader, StreamStats
-from ..graphs.batch import GraphBatch, collate
+from ..graphs.batch import GraphBatch, bucket_capacity, collate, pad_batch
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import CollateCache, epoch_plan_bins
 from ..mace import MACE
 from ..nn import Adam, ExponentialLR, ExponentialMovingAverage
-from ..runtime import (
-    CompiledPlan,
-    PlanStale,
-    batch_signature,
-    record_tape,
-    resolve_plan_cache,
-)
+from ..runtime import CompiledPlan, PlanStale, record_tape, resolve_plan_cache
 
 __all__ = ["EnergyScaler", "Trainer", "TrainResult"]
 
@@ -139,17 +133,21 @@ class Trainer:
     plan_cache:
         :class:`repro.runtime.PlanCache` threading for compiled
         loss-step execution.  The default ``"auto"`` gives the trainer a
-        private cache: the first step on each shape bucket (batch
-        composition + geometry + labels, the same fingerprint discipline
-        as the collate cache) runs eagerly while recording, every later
-        step replays the compiled plan — no tape construction, a
-        precompiled backward into reused gradient buffers, and the whole
-        edge-geometry pipeline (spherical harmonics, radial features)
-        folded out of the step since positions are constants of a
-        training batch.  Any mutation event (new composition, edited
-        geometry or labels, dtype drift, parameter shape change) misses
-        or fails the replay guard and falls back to eager + recapture —
-        never a stale replay.  Pass ``None`` to always run eagerly.
+        private cache.  Each batch is padded to its shape bucket — atoms
+        to the bin capacity ``C`` (or a :func:`repro.graphs.bucket_capacity`
+        rung when the batch has none or outgrows it), edges to a capacity
+        rung, graphs to ``atoms + 1`` slots — and every per-batch array
+        (positions, species, edges, graph membership, targets, loss
+        weights) is a replay *input*, so one plan serves every batch of
+        its bucket: a shuffled epoch of C-packed bins needs about ten
+        plans, not one per composition.  The first step on a bucket runs
+        eagerly while recording; later steps replay — no tape
+        construction and a precompiled backward into reused gradient
+        buffers.  Ghost atoms and edges contribute exactly zero, so
+        losses and gradients equal the unpadded eager step to
+        reassociation level.  A parameter shape/dtype change fails the
+        replay guard and falls back to eager, then recaptures.  Pass
+        ``None`` to always run eagerly on the unpadded batch.
     """
 
     def __init__(
@@ -246,51 +244,126 @@ class Trainer:
 
     # -- loss ---------------------------------------------------------------------
 
-    def _batch_loss(self, batch: GraphBatch) -> Tensor:
-        n_atoms = np.bincount(batch.graph_index, minlength=batch.n_graphs).astype(
+    def _loss_arrays(self, batch: GraphBatch, n_slots: int = 0):
+        """Per-graph atom counts, standardized targets and normalized loss
+        weights, over ``max(n_slots, batch.n_graphs)`` graph slots.
+
+        Slots past the batch's graphs (a padded batch's filler and dummy
+        graphs) get count 1, target 0 and weight 0, so they add exactly
+        zero to the loss and its gradients.
+        """
+        counts = np.bincount(batch.graph_index, minlength=batch.n_graphs).astype(
             np.float64
         )
-        pred = self.model(batch) / Tensor(n_atoms)
-        target = (batch.energies / n_atoms - self.scaler.mean_per_atom) / self.scaler.std_per_atom
+        target = (batch.energies / counts - self.scaler.mean_per_atom) / self.scaler.std_per_atom
+        weights = 1.0 / counts if self.loss_weighting == "per_atom" else np.ones_like(counts)
+        weights = weights / weights.sum()
+        pad = n_slots - batch.n_graphs
+        if pad > 0:
+            counts = np.concatenate([counts, np.ones(pad)])
+            target = np.concatenate([target, np.zeros(pad)])
+            weights = np.concatenate([weights, np.zeros(pad)])
+        return counts, target, weights
+
+    def _batch_loss(self, batch: GraphBatch, inputs=None) -> Tensor:
+        """Weighted MSE of standardized per-atom energies.
+
+        Without ``inputs`` the loss of ``batch`` itself (the eager path).
+        With ``inputs`` — the Tensors of :meth:`_bucket`'s arrays —
+        ``batch`` is the padded batch and every per-batch array comes
+        from the inputs, so a plan captured here replays on any batch of
+        the bucket.
+        """
+        if inputs is None:
+            energies = self.model(batch)
+            counts, target, weights = self._loss_arrays(batch)
+        else:
+            positions, species, send, recv, shift, graph_index, edge_mask = inputs[:7]
+            counts, target, weights = inputs[7:]
+            energies = self.model(
+                batch,
+                positions=positions,
+                edges=(send, recv, shift),
+                species=species,
+                graph_index=graph_index,
+                edge_mask=edge_mask,
+            )
+        pred = energies / counts
         pred_norm = (pred - self.scaler.mean_per_atom) / self.scaler.std_per_atom
-        weights = 1.0 / n_atoms if self.loss_weighting == "per_atom" else np.ones_like(n_atoms)
-        return weighted_mse(pred_norm, target, weights)
+        diff = pred_norm - target
+        return (weights * diff * diff).sum()
+
+    def _bucket(self, batch: GraphBatch):
+        """``(key, padded batch, replay input arrays)`` of ``batch``.
+
+        Atoms pad to the bin capacity (a ladder rung for batches packed
+        without one or larger than it), edges to a ladder rung, graphs
+        to ``atoms + 1`` slots (every atom its own graph, plus the dummy
+        graph of the ghost atoms).  The key is the bucket's shape alone;
+        species outside the model's table raise here, before any
+        capture.
+        """
+        n_atoms, n_edges = batch.n_atoms, batch.n_edges
+        atom_cap = batch.capacity
+        if not 0 < n_atoms <= atom_cap:
+            atom_cap = bucket_capacity(n_atoms)
+        edge_cap = bucket_capacity(n_edges)
+        graph_cap = atom_cap + 1
+        padded = pad_batch(
+            batch, atom_cap, edge_cap, graph_cap, ghost_length=2.0 * self.model.cfg.cutoff
+        )
+        edge_mask = np.zeros(edge_cap)
+        edge_mask[:n_edges] = 1.0
+        arrays = (
+            padded.positions,
+            self.model.species_indices(padded.species),
+            padded.edge_index[0],
+            padded.edge_index[1],
+            padded.edge_shift,
+            padded.graph_index,
+            edge_mask,
+        ) + self._loss_arrays(batch, graph_cap)
+        key = (self.loss_weighting, atom_cap, edge_cap, graph_cap, batch.positions.dtype)
+        return key, padded, arrays
 
     def _loss_step(self, batch: GraphBatch, with_grads: bool = True) -> float:
         """Loss of one batch, through the compiled-plan cache when attached.
 
         With ``with_grads`` the parameters' ``.grad`` is populated (the
         compiled replay overwrites it — callers zero first, as both step
-        entry points do).  The plan key is the batch's shape-bucket
-        signature (composition + geometry + labels + dtype): repeated
-        buckets replay, any mutation misses and recaptures, and a
-        guard-rejected replay (:class:`~repro.runtime.PlanStale`, e.g. a
-        parameter array swapped to a new shape/dtype) invalidates the
-        entry and falls back to eager.
+        entry points do).  The batch is padded to its shape bucket and
+        replayed on that bucket's plan with the padded arrays as inputs
+        (see :meth:`_bucket`); the first batch of a bucket is captured.
+        A guard-rejected replay (:class:`~repro.runtime.PlanStale`, e.g.
+        a parameter array swapped to a new shape/dtype) invalidates the
+        entry and falls back to eager; the next batch recaptures.
         """
         cache = self.plan_cache
         if cache is None:
             return self._eager_loss(batch, with_grads)
-        key = (
-            self.loss_weighting,
-            batch_signature(batch, include_positions=True, include_labels=True),
-        )
+        key, padded, arrays = self._bucket(batch)
         plan = cache.get(key)
         if plan is not None:
             try:
-                (loss_value,), _ = plan.replay(compute_grads=with_grads)
+                (loss_value,), _ = plan.replay(*arrays, compute_grads=with_grads)
                 return float(loss_value)
             except PlanStale:
                 cache.invalidate(key)
                 return self._eager_loss(batch, with_grads)
+        inputs = tuple(Tensor(a) for a in arrays)
         with record_tape() as tape:
-            loss = self._batch_loss(batch)
+            loss = self._batch_loss(padded, inputs)
         if with_grads:
             loss.backward()
         cache.put(
             key,
             CompiledPlan(
-                tape, outputs=(loss,), seed=loss, grad_params=True, owner=self.model
+                tape,
+                outputs=(loss,),
+                seed=loss,
+                inputs=inputs,
+                grad_params=True,
+                owner=self.model,
             ),
         )
         return loss.item()
@@ -415,10 +488,9 @@ class Trainer:
             batch = self.collate_cache.get(graphs, range(len(graphs)))
         else:
             batch = collate(list(graphs))
-        # The compiled path replays (or captures) forward-only; explicit
-        # validation sets ride through too — their content-derived plan
-        # key memoizes repeated evaluations of a stable set and misses
-        # on any change, mirroring the collate-cache policy above.
+        # The compiled path replays (or captures) forward-only on the
+        # batch's shape bucket; explicit validation sets ride through
+        # too, rebinding their arrays like any training batch.
         return self._loss_step(batch, with_grads=False)
 
     def freeze_representation(self) -> int:

@@ -228,13 +228,16 @@ class TestWorkerRobustness:
 
 
 class TestParallelDDP:
-    def _fresh(self, labeled, lr=0.01):
+    def _fresh(self, labeled, lr=0.01, plan_cache="auto"):
         model = MACE(CFG, seed=0)
-        trainer = Trainer(model, labeled, lr=lr)
+        trainer = Trainer(model, labeled, lr=lr, plan_cache=plan_cache)
         return model, trainer
 
     def _serial_reference(self, labeled, plans, steps):
-        model, trainer = self._fresh(labeled)
+        # Eager serial steps: the reference eager ranks must match bit
+        # for bit (training plans replay padded batches, which agree
+        # only to reassociation level).
+        model, trainer = self._fresh(labeled, plan_cache=None)
         losses = [trainer.ddp_step([list(b) for b in plan if b]) for plan in plans][
             :steps
         ]
@@ -296,11 +299,13 @@ class TestParallelDDP:
         """An out-of-band optimizer step between parallel steps discards
         the staged buffer (optimizer.t mismatch) and re-flattens inline
         — the broadcast params still match a serial reference bitwise."""
-        model_ref, trainer_ref = self._fresh(labeled)
+        model_ref, trainer_ref = self._fresh(labeled, plan_cache=None)
         trainer_ref.ddp_step([[0, 1]])
         trainer_ref.train_step([2, 3])
         ref_loss = trainer_ref.ddp_step([[4, 5]])
-        model, trainer = self._fresh(labeled)
+        # The out-of-band step runs on the driver's trainer: eager, like
+        # the eager rank steps and the reference.
+        model, trainer = self._fresh(labeled, plan_cache=None)
         with make_executor("serial", 1) as ex:
             ddp = ParallelDDP(trainer, ex, world_size=1, compiled=False)
             ddp.step([[0, 1]])

@@ -6,6 +6,7 @@ import pytest
 from repro.data import attach_labels, build_training_set
 from repro.distribution import BalancedDistributedSampler, FixedCountDistributedSampler
 from repro.graphs import MolecularGraph, collate
+from repro.graphs.pipeline import epoch_plan_bins
 from repro.mace import MACE, MACEConfig
 from repro.training import EnergyScaler, Trainer
 
@@ -232,3 +233,165 @@ class TestTrainer:
             trainer = Trainer(model, labeled_graphs, lr=0.01)
             losses[variant] = [trainer.train_step([0, 1, 2]) for _ in range(3)]
         np.testing.assert_allclose(losses["baseline"], losses["optimized"], atol=1e-12)
+
+
+class TestPaddedPlans:
+    """Training plans bind every per-batch array as a replay input of a
+    batch padded to its shape bucket (atom / edge / graph capacities)."""
+
+    @staticmethod
+    def _pair(graphs, seed=0, **kwargs):
+        planned = Trainer(MACE(CFG, seed=seed), graphs, **kwargs)
+        eager = Trainer(MACE(CFG, seed=seed), graphs, plan_cache=None, **kwargs)
+        return planned, eager
+
+    @staticmethod
+    def _assert_same_params(a, b, tol=1e-12):
+        for (name, pa), (_, pb) in zip(
+            a.model.named_parameters(), b.model.named_parameters()
+        ):
+            np.testing.assert_allclose(pa.data, pb.data, rtol=tol, atol=tol, err_msg=name)
+
+    @staticmethod
+    def _isolated(n_atoms, energy, z=1):
+        """A labeled graph whose atoms are too far apart for any edge."""
+        g = MolecularGraph(
+            np.arange(n_atoms * 3, dtype=np.float64).reshape(n_atoms, 3) * 10.0,
+            np.full(n_atoms, z),
+            energy=energy,
+        )
+        g.edge_index = np.zeros((2, 0), dtype=np.int64)
+        g.edge_shift = np.zeros((0, 3))
+        return g
+
+    def _train_both(self, graphs, steps):
+        planned, eager = self._pair(graphs)
+        for batch_idx, capacity in steps:
+            lp = planned.train_step(batch_idx, capacity)
+            le = eager.train_step(batch_idx, capacity)
+            assert lp == pytest.approx(le, rel=1e-12)
+        self._assert_same_params(planned, eager)
+        return planned
+
+    def test_edgeless_bin(self, labeled_graphs):
+        graphs = list(labeled_graphs) + [self._isolated(3, -2.0), self._isolated(2, -1.5)]
+        n = len(graphs)
+        planned = self._train_both(graphs, [([n - 2, n - 1], 8)] * 3)
+        key = planned._bucket(planned._collate([n - 2, n - 1], 8))[0]
+        assert key[1:4] == (8, 16, 9)  # atoms at C, smallest edge rung, C + 1 graphs
+        assert planned.plan_cache.captures == 1 and planned.plan_cache.hits == 2
+
+    def test_single_atom_graphs(self, labeled_graphs):
+        graphs = list(labeled_graphs) + [
+            self._isolated(1, -0.5 - 0.1 * i, z) for i, z in enumerate((1, 8, 1, 8))
+        ]
+        n = len(graphs)
+        singles = list(range(n - 4, n))
+        self._train_both(graphs, [(singles, 4), (singles + [0], 64), (singles, 4)])
+
+    def test_capacity_zero_batch(self, labeled_graphs):
+        planned = self._train_both(labeled_graphs, [([0, 1, 2], 0)] * 2 + [([3, 4], 0)])
+        batch = planned._collate([0, 1, 2], 0)
+        atom_cap = planned._bucket(batch)[0][1]
+        assert batch.n_atoms <= atom_cap < 1.125 * batch.n_atoms + 8
+
+    def test_structure_larger_than_capacity(self, labeled_graphs):
+        big = max(range(len(labeled_graphs)), key=lambda i: labeled_graphs[i].n_atoms)
+        n = labeled_graphs[big].n_atoms
+        planned, eager = self._pair(labeled_graphs)
+        for _ in range(2):
+            # A bin stamped with a capacity its structure outgrew.
+            batch = collate([labeled_graphs[big]], capacity=n)
+            batch.capacity = n // 2
+            assert planned.train_batch(batch) == pytest.approx(
+                eager.train_batch(batch), rel=1e-12
+            )
+        assert planned._bucket(batch)[0][1] >= n
+        assert planned.plan_cache.hits == 1
+        self._assert_same_params(planned, eager)
+
+    def test_unknown_species_raise_before_capture(self, labeled_graphs):
+        graphs = list(labeled_graphs) + [self._isolated(2, -1.0, z=99)]
+        planned = Trainer(MACE(CFG, seed=0), graphs)
+        with pytest.raises(KeyError, match="99"):
+            planned.train_step([len(graphs) - 1], 8)
+        assert planned.plan_cache.captures == 0
+
+    def test_ghosts_contribute_exactly_zero(self, labeled_graphs):
+        """One batch padded to two buckets: equal loss and gradients."""
+        trainer = Trainer(MACE(CFG, seed=4), labeled_graphs)
+        grads = []
+        losses = []
+        for capacity in (0, 200):
+            batch = trainer._collate([0, 2, 5], 0)
+            batch.capacity = capacity
+            trainer.model.zero_grad()
+            losses.append(trainer._loss_step(batch))
+            grads.append([p.grad.copy() for p in trainer.model.parameters()])
+        assert trainer.plan_cache.captures == 2  # two different buckets
+        assert losses[0] == pytest.approx(losses[1], rel=1e-13)
+        for g0, g1 in zip(*grads):
+            np.testing.assert_allclose(g0, g1, rtol=1e-11, atol=1e-14)
+
+    def test_shuffled_fit_matches_eager(self, labeled_graphs):
+        """Two shuffled epochs of Trainer.fit: per-step losses and final
+        parameters of the default (planned) trainer equal plan_cache=None."""
+        sampler = BalancedDistributedSampler(
+            [g.n_atoms for g in labeled_graphs], 80, num_replicas=1, seed=5
+        )
+        planned, eager = self._pair(labeled_graphs, seed=2)
+        steps = []
+        for trainer in (planned, eager):
+            losses = []
+            step = trainer.train_batch
+
+            def train_batch(batch, step=step, losses=losses):
+                losses.append(step(batch))
+                return losses[-1]
+
+            trainer.train_batch = train_batch  # fit's per-step hook
+            trainer.fit(sampler, 2)
+            steps.append(losses)
+        assert planned.plan_cache.hits > 0
+        np.testing.assert_allclose(steps[0], steps[1], rtol=1e-12)
+        self._assert_same_params(planned, eager)
+
+    def test_counted_replays_on_shuffled_sampler(self):
+        """Load-insensitive: one capture per distinct bucket, >= 95% of
+        the steps after epoch 0 replay a plan."""
+        graphs = attach_labels(build_training_set(48, seed=0, max_atoms=40))
+        sampler = BalancedDistributedSampler(
+            [g.n_atoms for g in graphs], 96, num_replicas=1, seed=0
+        )
+        trainer = Trainer(MACE(CFG, seed=0), graphs)
+        cache = trainer.plan_cache
+        buckets = set()
+        for epoch in range(6):
+            bins = epoch_plan_bins(sampler, epoch, 0)
+            buckets.update(
+                trainer._bucket(trainer._collate(idx, cap))[0] for idx, cap in bins
+            )
+            if epoch == 1:
+                hits0, misses0 = cache.hits, cache.misses
+            trainer.train_epoch_bins(bins)
+        assert cache.captures <= len(buckets) <= 10
+        hits, misses = cache.hits - hits0, cache.misses - misses0
+        assert hits / (hits + misses) >= 0.95
+
+    def test_plan_stale_falls_back_then_recaptures(self, labeled_graphs):
+        planned, eager = self._pair(labeled_graphs, seed=3)
+        for _ in range(2):
+            planned.train_step([0, 1, 2])
+            eager.train_step([0, 1, 2])
+        for t in (planned, eager):  # parameter dtype drift
+            t.model.energy_scale.data = t.model.energy_scale.data.astype(np.float32)
+        cache = planned.plan_cache
+        assert planned.train_step([0, 1, 2]) == pytest.approx(
+            eager.train_step([0, 1, 2]), rel=1e-12
+        )
+        assert cache.stale == 1 and cache.captures == 1  # eager fallback
+        for _ in range(2):
+            assert planned.train_step([0, 1, 2]) == pytest.approx(
+                eager.train_step([0, 1, 2]), rel=1e-12
+            )
+        assert cache.captures == 2 and cache.hits == 3  # recaptured, replays again
