@@ -5,9 +5,11 @@ roofline cost model; :mod:`repro.parallel` actually runs the work on OS
 threads or forked processes.  This bench closes the loop between the two
 worlds.  Gates (both ``--smoke`` and full mode):
 
-1. **Wire format** — a captured zero-input energy plan survives a pickle
-   round trip (the worker-pool broadcast format) and replays bitwise-
-   stable, within 1e-12 of the original.
+1. **Shape-keyed plans** — an energy plan captured on one batch is
+   replayed (one capture, one hit) by a batch of the same shape and
+   different content (reversed members, perturbed positions), within
+   1e-12 of eager and bitwise-stable across replays.  Serving workers
+   rely on this: each captures once per micro-batch shape.
 2. **Numerics** — ``mode="wall-clock"`` serving returns the *identical
    virtual schedule* as ``mode="simulate"`` and per-request energies
    within 1e-12, on both the thread and process backends.
@@ -35,7 +37,6 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
-import pickle
 import sys
 
 import numpy as np
@@ -64,26 +65,31 @@ SHAPE_ERROR_BAND = 2.0
 SHAPE_ERROR_BAND_OVERSUBSCRIBED = 4.0
 
 
-def _check_pickle(model: MACE) -> None:
+def _check_shape_plan(model: MACE) -> None:
     graphs = build_request_pool(2, seed=7, max_atoms=40)
-    batch = collate(graphs)
     cache = PlanCache()
-    eager = model.predict_energy(batch, compiled=cache)
-    plan = model.energy_plan(batch, compiled=cache)
-    assert plan is not None, "energy plan was not captured"
-    clone = pickle.loads(pickle.dumps(plan))
-    (replayed,), _ = clone.replay()
-    np.testing.assert_allclose(replayed, eager, atol=1e-12)
-    (again,), _ = clone.replay()
+    model.predict_energy(collate(graphs), compiled=cache)
+    other = collate(graphs[::-1])
+    rng = np.random.default_rng(0)
+    other.positions = other.positions + 0.02 * rng.standard_normal(
+        other.positions.shape
+    )
+    replayed = model.predict_energy(other, compiled=cache)
+    assert (cache.captures, cache.hits) == (1, 1), (
+        f"same-shape batch did not replay the energy plan: {cache.stats()}"
+    )
+    err = float(np.max(np.abs(replayed - model.predict_energy(other))))
+    assert err < 1e-12, f"shape-keyed replay drifted from eager: {err:.3e}"
+    again = model.predict_energy(other, compiled=cache)
     np.testing.assert_array_equal(again, replayed)
-    print(f"plan pickle round trip: {len(pickle.dumps(plan))} bytes, replay exact")
+    print(f"shape-keyed energy plan: same-shape batch replayed, max |dE| = {err:.3e}")
 
 
 def _wall_clock_reports(pool, trace, backends, n_workers: int):
     """Serve the trace in simulate mode and wall-clock mode per backend.
 
-    Each wall-clock engine serves three times: once cold (plan capture
-    and broadcast) and twice warm.  Calibration gates run on the warm
+    Each wall-clock engine serves three times: once cold (workers
+    capture plans) and twice warm.  Calibration gates run on the warm
     serve with the lower shape error — a single warm serve is hostage to
     one unlucky scheduler preemption on small machines.
     """
@@ -101,7 +107,7 @@ def _wall_clock_reports(pool, trace, backends, n_workers: int):
             backend=backend,
             n_workers=n_workers,
         ) as eng:
-            eng.serve(trace)  # cold: captures + broadcasts plans
+            eng.serve(trace)  # cold: workers capture plans
             reps = [eng.serve(trace), eng.serve(trace)]
             warm[backend] = min(
                 reps, key=lambda r: r.cost_model_p90_error or float("inf")
@@ -227,7 +233,7 @@ def main(argv=None) -> int:
 
     print(f"visible cores: {available_cores()}")
     model = MACE(_MODEL_CFG, seed=0)
-    _check_pickle(model)
+    _check_shape_plan(model)
 
     pool = build_request_pool(8, seed=3, max_atoms=40)
     trace = generate_trace(pool, 30 if smoke else 80, rate=400.0, seed=4)

@@ -319,7 +319,7 @@ def _cmd_validate_cost_model(args: argparse.Namespace) -> int:
     if args.warm:
         print(
             f"cold-serve capture overhead         : "
-            f"{cold.capture_seconds * 1e3:.1f} ms "
+            f"{cold.capture_seconds * 1e3:.1f} worker-ms "
             f"({cold.capture_seconds / max(cold.measured_makespan, 1e-12):.0%} "
             f"of cold makespan)"
         )

@@ -167,7 +167,6 @@ class MACE(Module):
         self.readout_final = MLP([K, cfg.readout_mlp_hidden, 1], rng=rng)
         self.species_energy = Parameter(np.zeros(cfg.n_species))
         self.energy_scale = Parameter(np.ones(1))
-        self._plan_cache: Optional[PlanCache] = None  # lazy, compiled=True path
 
     # -- species handling -------------------------------------------------------
 
@@ -200,9 +199,7 @@ class MACE(Module):
         them as constants:
 
         * ``edges`` — a ``(send, recv, shift)`` triple of (integer)
-          tensors.  The padded-MD path threads the Verlet candidate
-          arrays through here so a neighbor-list rebuild into the same
-          capacity bucket re-hits the compiled plan;
+          tensors;
         * ``species`` — ``(N,)`` embedding-row indices (already mapped
           by :meth:`species_indices`);
         * ``graph_index`` — ``(N,)`` graph id of each atom;
@@ -210,7 +207,8 @@ class MACE(Module):
           for ghost edges.  Without it a batch with ``masked_cutoff``
           derives the mask from the edge lengths.
 
-        Training plans bind all of them (see
+        Energy and force plans bind all but ``edge_mask`` (see
+        :meth:`predict_energy`); training plans bind all of them (see
         :meth:`repro.training.Trainer._loss_step`).
         """
         cfg = self.cfg
@@ -266,22 +264,35 @@ class MACE(Module):
 
     # -- compiled execution (repro.runtime) --------------------------------------
 
-    def _plan_cache_for(self, compiled) -> Optional[PlanCache]:
-        """Resolve the ``compiled=`` argument of the prediction entry points.
-
-        ``None``/``False`` — eager; a :class:`~repro.runtime.PlanCache` —
-        use it; ``True``/``"auto"`` — a lazily created model-private
-        cache shared by all compiled calls on this instance.
-        """
-        if compiled is None or compiled is False:
-            return None
-        if isinstance(compiled, PlanCache):
+    @staticmethod
+    def _plan_cache_for(compiled) -> Optional[PlanCache]:
+        """Validate the ``compiled=`` argument: ``None`` (eager) or a cache."""
+        if compiled is None or isinstance(compiled, PlanCache):
             return compiled
-        if compiled is True or compiled == "auto":
-            if self._plan_cache is None:
-                self._plan_cache = PlanCache()
-            return self._plan_cache
-        raise TypeError(f"compiled must be None, bool, 'auto' or PlanCache, got {compiled!r}")
+        raise TypeError(f"compiled must be None or a PlanCache, got {compiled!r}")
+
+    def _plan_arrays(self, batch: GraphBatch) -> tuple:
+        """The replay inputs of an energy/force plan, in binding order."""
+        send, recv = batch.edge_index
+        return (
+            batch.positions,
+            self.species_indices(batch.species),
+            send,
+            recv,
+            batch.edge_shift,
+            batch.graph_index,
+        )
+
+    def _forward_on(self, batch: GraphBatch, inputs: tuple) -> Tensor:
+        """:meth:`forward` with every per-batch array taken from ``inputs``."""
+        positions, species, send, recv, shift, graph_index = inputs
+        return self.forward(
+            batch,
+            positions=positions,
+            edges=(send, recv, shift),
+            species=species,
+            graph_index=graph_index,
+        )
 
     def forces(self, batch: GraphBatch, compiled=None) -> np.ndarray:
         """``(n_atoms, 3)`` forces, ``F = -dE/dr`` via reverse-mode autograd.
@@ -296,64 +307,35 @@ class MACE(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-graph energies and per-atom forces from one forward+backward.
 
-        With ``compiled`` (``True``/``"auto"``/a
-        :class:`~repro.runtime.PlanCache`), the forward+backward pass is
-        captured once per shape bucket — positions are a replay *input*,
-        so an MD trajectory keeps hitting the same plan while its edge
-        set is unchanged — and replayed with no tape construction.  The
-        compiled backward targets only the positions, pruning the
-        parameter-gradient branches the eager pass always pays for.
-        Falls back to eager on any cache miss or guard rejection.
+        With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the
+        forward+backward pass is captured once per shape
+        (:func:`~repro.runtime.batch_signature`) and replayed with no
+        tape construction.  Positions (requiring grad), species indices,
+        the edge arrays and ``graph_index`` are replay inputs, so any
+        batch of a captured shape — an MD step, a padded-MD Verlet
+        rebuild into the same edge bucket, another composition — hits
+        the plan.  The compiled backward targets only the positions,
+        pruning the parameter-gradient branches the eager pass always
+        pays for.  Falls back to eager on a guard rejection.
         """
         cache = self._plan_cache_for(compiled)
         if cache is not None:
-            padded = getattr(batch, "masked_cutoff", None) is not None
             # The plan pins this model as its owner, so id(self) cannot be
             # recycled into a key collision while the entry is alive.
-            # Padded-MD batches additionally exclude the edge *content*
-            # from the key and bind the candidate edge arrays as replay
-            # inputs: a Verlet rebuild into the same capacity bucket then
-            # re-hits this plan instead of recapturing (the signature
-            # still covers the edge count/dtype via the array shapes, and
-            # the replay guard rejects any capacity change).
-            key = (
-                "forces",
-                id(self),  # lint: allow-id-keyed-dict
-                batch_signature(
-                    batch, include_positions=False, include_edges=not padded
-                ),
-            )
+            key = ("forces", id(self)) + batch_signature(batch)  # lint: allow-id-keyed-dict
+            arrays = self._plan_arrays(batch)
             plan = cache.get(key)
             if plan is not None:
                 try:
-                    if padded:
-                        (energies,), grads = plan.replay(
-                            batch.positions,
-                            batch.edge_index[0],
-                            batch.edge_index[1],
-                            batch.edge_shift,
-                        )
-                        grad = grads[0]
-                    else:
-                        (energies,), (grad,) = plan.replay(batch.positions)
-                    assert grad is not None
-                    return energies, -grad
+                    (energies,), grads = plan.replay(*arrays)
+                    return energies, -grads[0]
                 except PlanStale:
                     cache.invalidate(key)
             else:
                 positions = Tensor(batch.positions.copy(), requires_grad=True)
-                if padded:
-                    edges = (
-                        Tensor(batch.edge_index[0].copy()),
-                        Tensor(batch.edge_index[1].copy()),
-                        Tensor(batch.edge_shift.copy()),
-                    )
-                    inputs = (positions,) + edges
-                else:
-                    edges = None
-                    inputs = (positions,)
+                inputs = (positions,) + tuple(Tensor(a) for a in arrays[1:])
                 with record_tape() as tape:
-                    energies = self.forward(batch, positions=positions, edges=edges)
+                    energies = self._forward_on(batch, inputs)
                     total = energies.sum()
                 total.backward()
                 assert positions.grad is not None
@@ -378,42 +360,30 @@ class MACE(Module):
     def predict_energy(self, batch: GraphBatch, compiled=None) -> np.ndarray:
         """Per-graph energies as a plain array (no tape).
 
-        With ``compiled``, the inference graph is captured once per
-        shape bucket and replayed thereafter; the whole edge-geometry
-        pipeline (spherical harmonics, radial features) is folded as
-        plan constants, so the signature covers positions — mutated
-        geometry is a miss followed by recapture, never a stale replay.
+        With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the
+        inference graph is captured once per shape and replayed
+        thereafter, binding the same inputs as :meth:`energy_and_forces`
+        (the edge geometry is recomputed every replay), so a serving
+        micro-batch hits the plan of any earlier batch of its shape.
         """
         cache = self._plan_cache_for(compiled)
         if cache is None:
             with no_grad():
                 return self.forward(batch).numpy()
         # id(self) is safe here for the same owner-pinning reason as above.
-        key = ("energy", id(self), batch_signature(batch, include_positions=True))  # lint: allow-id-keyed-dict
+        key = ("energy", id(self)) + batch_signature(batch)  # lint: allow-id-keyed-dict
+        arrays = self._plan_arrays(batch)
         plan = cache.get(key)
         if plan is not None:
             try:
-                (energies,), _ = plan.replay()
+                (energies,), _ = plan.replay(*arrays)
                 return energies
             except PlanStale:
                 cache.invalidate(key)
                 with no_grad():
                     return self.forward(batch).numpy()
+        inputs = tuple(Tensor(a) for a in arrays)
         with record_tape() as tape, no_grad():
-            out = self.forward(batch)
-        cache.put(key, CompiledPlan(tape, outputs=(out,), owner=self))
+            out = self._forward_on(batch, inputs)
+        cache.put(key, CompiledPlan(tape, outputs=(out,), inputs=inputs, owner=self))
         return out.numpy()
-
-    def energy_plan(self, batch: GraphBatch, compiled=None):
-        """The cached zero-input energy plan for ``batch``, or ``None``.
-
-        The serving engine's wall-clock mode broadcasts this plan to pool
-        workers after the first (capturing) ``predict_energy`` call for a
-        composition; keeping the key construction here avoids leaking the
-        cache-key format out of the model.
-        """
-        cache = self._plan_cache_for(compiled)
-        if cache is None:
-            return None
-        key = ("energy", id(self), batch_signature(batch, include_positions=True))  # lint: allow-id-keyed-dict
-        return cache.get(key)

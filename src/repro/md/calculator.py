@@ -53,19 +53,20 @@ class MACECalculator:
         Compiled-plan threading (:mod:`repro.runtime`).  The default
         ``"auto"`` gives the calculator a private
         :class:`~repro.runtime.PlanCache`: the force graph is captured
-        once per edge set and replayed every MD step with positions as
-        the replay input, falling back to eager capture whenever the
-        Verlet rebuild changes the edge set (a new shape bucket) and to
-        plain eager on any replay-guard rejection.  Pass ``None`` to
-        always run eagerly, or an existing cache to share it.
+        once per batch shape and replayed every MD step with positions
+        and edges as replay inputs, capturing again whenever the edge
+        count changes (a new shape) and falling back to plain eager on
+        any replay-guard rejection.  Pass ``None`` to always run
+        eagerly, or an existing cache to share it.
     pad_edges:
         Pad MD batches to capacity buckets so plan hit rates survive
         neighbor-list refilters.  The batch carries the Verlet
         *candidate* edge set (fixed between rebuilds) padded with ghost
         self-edges up to a grow-only multiple of ``EDGE_BUCKET``; the
         model masks out-of-cutoff edges so results match the exact edge
-        set, while the plan-cache key stays constant between rebuilds
-        instead of changing whenever an edge crosses the cutoff.  The
+        set, while the batch shape (the plan-cache key) stays constant
+        between rebuilds instead of changing whenever an edge crosses
+        the cutoff.  The
         default ``"auto"`` enables this exactly when the calculator owns
         both a neighbor list and a plan cache (the regime where it
         pays); ``True`` additionally requires ``cutoff``.
@@ -122,8 +123,8 @@ class MACECalculator:
 
         The padded arrays are rebuilt only when the Verlet cache
         rebuilds its candidate list; between rebuilds every step sees
-        bit-identical edge arrays, so force-plan signatures repeat and
-        replays hit.  Ghost edges (:func:`repro.graphs.pad_edges`) are
+        the same edge arrays, and a rebuild into the same capacity keeps
+        the shape, so force-plan replays hit.  Ghost edges (:func:`repro.graphs.pad_edges`) are
         displaced by ``2 * cutoff`` — beyond the cutoff, so the model's
         within-cutoff mask zeroes their contribution exactly.
         """
@@ -149,8 +150,7 @@ class MACECalculator:
             # the padded arrays — so the *objects* the model sees stay
             # stable step to step.  The edge arrays are bound as replay
             # inputs; keeping them the same objects preserves the
-            # per-index scatter memoization and keeps signature hashing
-            # off the hot path's edge content.
+            # per-index scatter memoization.
             self._pad_batch = collate([padded])
             self._pad_batch.masked_cutoff = cache.cutoff
             self._pad_build = cache.rebuilds

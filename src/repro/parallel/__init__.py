@@ -30,7 +30,6 @@ from .worker import (
     ForwardTask,
     GradStep,
     InstallModel,
-    InstallPlan,
     SetupRank,
     WorkerContext,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ForwardTask",
     "GradStep",
     "InstallModel",
-    "InstallPlan",
     "LocalSlab",
     "ParallelDDP",
     "ProcessExecutor",

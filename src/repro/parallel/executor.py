@@ -3,7 +3,7 @@
 The driver talks to every backend identically:
 
 - :meth:`~BaseExecutor.install` broadcasts an install message (model,
-  plan, rank state) to the pool and logs it per worker, so a respawned
+  rank state) to the pool and logs it per worker, so a respawned
   worker can be rebuilt by replaying the log;
 - :meth:`~BaseExecutor.submit` enqueues one task (optionally pinned to a
   worker — DDP pins each rank so its trainer state is reused);
@@ -21,8 +21,8 @@ Backends:
     One Python thread per worker.  NumPy's BLAS kernels release the GIL,
     so batched GEMM-heavy replays overlap; pure-Python stretches
     serialize.  Install messages are cloned per worker (the same pickle
-    round trip the process queue does), so plans and models are never
-    shared between threads.
+    round trip the process queue does), so models (and the plan caches
+    built beside them) are never shared between threads.
 
 :class:`ProcessExecutor`
     Real multicore: forked worker processes, per-worker task queues,
@@ -94,7 +94,7 @@ class _InstallLog:
 
     def add(self, message) -> None:
         # An install superseding an earlier one (same model version, same
-        # plan key, same rank) replaces it, so the log replayed into a
+        # rank) replaces it, so the log replayed into a
         # respawned worker stays bounded by live state, not history.
         replaces = getattr(message, "replaces", None)
         if replaces is not None:
@@ -237,7 +237,7 @@ class ThreadExecutor(BaseExecutor):
 
     def _send_install(self, worker: int, message) -> None:
         # Clone through pickle — identical semantics to the process queue,
-        # so no plan/model instance is ever shared between threads.
+        # so no model instance is ever shared between threads.
         self._queues[worker].put(("install", pickle.loads(pickle.dumps(message))))
 
     def _send_task(self, worker: int, task) -> None:

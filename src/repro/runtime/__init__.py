@@ -21,16 +21,17 @@ fixed shape buckets thousands of times.  The pieces:
   raises :class:`~repro.runtime.plan.PlanStale` instead of ever
   replaying stale shapes or dtypes;
 * :class:`~repro.runtime.cache.PlanCache` — a bounded LRU of plans.
-  Training plans bind every per-batch array as an input of a batch
-  padded to its shape bucket and key on that shape alone; energy, force
-  and serving plans key on :func:`~repro.runtime.cache.batch_signature`,
-  a content digest of what they fold, so every invalidation event (new
-  edge set, mutated positions, dtype drift) is a miss followed by
-  recapture.
+  One keying rule holds for every entry point (training loss, energy,
+  forces, serving): a plan binds each per-batch array as a replay input
+  and keys on the batch's shape,
+  :func:`~repro.runtime.cache.batch_signature`, so any batch of a
+  captured shape replays it, and anything the key cannot see is caught
+  by the replay guard.
 
 Threaded through the stack by default — ``Trainer(plan_cache="auto")``,
 ``MACECalculator(compiled="auto")``, ``InferenceEngine(plan_cache=
-"auto")`` and the ``compiled=`` argument of ``MACE.predict_energy`` /
+"auto")``, and opt-in through the ``compiled=`` argument (a
+:class:`~repro.runtime.cache.PlanCache`) of ``MACE.predict_energy`` /
 ``MACE.forces`` / ``MACE.energy_and_forces`` — with transparent eager
 fallback on any cache miss, guard rejection or model hot swap.
 ``benchmarks/bench_runtime.py --smoke`` gates the >=1.5x replay speedup

@@ -1,36 +1,32 @@
 """Plan caching: the bounded LRU of compiled plans and its key helper.
 
 A :class:`~repro.runtime.plan.CompiledPlan` is specific to one *shape
-bucket*.  How a caller names a bucket depends on what its plan binds as
-replay inputs:
-
-* **Training-loss plans** bind every per-batch array (positions,
-  species, edges, graph membership, targets, loss weights) as inputs of
-  a batch padded to fixed capacities, so their key is the bucket's
-  shape alone — ``(loss_weighting, atom_cap, edge_cap, graph_cap,
-  dtype)`` — with no hashing (see ``Trainer._loss_step``).
-* **Energy, force and serving plans** fold some batch content as
-  constants and key on :func:`batch_signature`, a content digest of
-  exactly those fields of a :class:`~repro.graphs.batch.GraphBatch`.
-  Content-derived keys make every invalidation event a *miss* (never a
-  stale replay): a changed neighbor list, mutated positions or a
-  different dtype simply produce a different signature and trigger a
-  fresh capture, while the stale entry ages out of the LRU.
+bucket*.  Every compiled entry point — training loss steps, energies,
+forces, serving micro-batches — binds each per-batch array (positions,
+species indices, edges, graph membership, and for training the edge
+mask, targets and loss weights) as a replay *input* and folds nothing
+batch-specific, so one rule keys them all: the batch's shape,
+:func:`batch_signature`, prefixed by what else the recorded graph
+depends on (the entry point, the model, the loss weighting).  Two
+batches with equal shapes share a plan whatever their content.  The
+padding that makes shapes recur is the callers' policy: ``Trainer``
+pads to the bin capacity and ladder rungs (``repro.graphs.pad_batch``),
+padded MD to grow-only edge buckets.
 
 :class:`PlanCache` is the bounded LRU holding the plans, with hit /
-miss / capture / stale counters.  Hot-swapping a served model clears the
-engine's cache wholesale (see ``InferenceEngine.swap_model``); plans
-additionally pin their owning model so ``id(model)``-scoped keys can
-never be recycled into a collision while a plan is alive.
+miss / capture / stale counters.  Anything the key cannot see — an
+index dtype, a parameter swapped to a new shape — is caught by the
+replay guard (``PlanStale``) and invalidates the entry.  Hot-swapping a
+served model clears the engine's cache wholesale (see
+``InferenceEngine.swap_model``); plans additionally pin their owning
+model so ``id(model)``-scoped keys can never be recycled into a
+collision while a plan is alive.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Dict, Optional
-
-import numpy as np
 
 from .plan import CompiledPlan
 
@@ -56,53 +52,23 @@ def resolve_plan_cache(value) -> Optional["PlanCache"]:
     )
 
 
-def _update(h, array: np.ndarray) -> None:
-    h.update(str(array.dtype).encode())
-    h.update(np.ascontiguousarray(array).tobytes())
+def batch_signature(batch) -> tuple:
+    """The shape key of a batch: what a plan's guards and constants see.
 
-
-def batch_signature(
-    batch,
-    include_positions: bool = True,
-    include_edges: bool = True,
-) -> bytes:
-    """Content digest of a batch for energy/force/serving plan keys.
-
-    Always covers the structural layout (species, graph membership, edge
-    counts) plus the position array's dtype, so a dtype change can never
-    replay a stale plan.  ``include_positions`` adds the position values
-    — required for plans that folded geometry as constants (energy
-    plans); force plans rebind positions per replay and leave it off so
-    an MD trajectory keeps hitting one plan while its edge set is
-    stable.  Energy labels are not covered: no plan keyed here reads
-    them.  ``include_edges=False``
-    drops the edge *content* while keeping the edge count and dtypes —
-    for plans that bind the edge arrays as replay inputs (the padded-MD
-    force plans), where a neighbor-list rebuild into the same capacity
-    bucket must hit the same key.
+    ``(n_atoms, n_edges, n_graphs, positions dtype, masked_cutoff)``.
+    The counts fix every bound input's shape; the positions dtype keeps
+    a float32 batch off a float64 plan; ``masked_cutoff`` is a constant
+    of the recorded graph (the within-cutoff mask radius), so a masked
+    batch never shares a plan with an exact-edge batch of equal shapes,
+    nor with one masked at another radius.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(int(batch.n_graphs).to_bytes(8, "little", signed=False))
-    _update(h, batch.species)
-    _update(h, batch.graph_index)
-    if include_edges:
-        _update(h, batch.edge_index)
-        _update(h, batch.edge_shift)
-    else:
-        h.update(b"edges-as-inputs")
-        h.update(int(batch.n_edges).to_bytes(8, "little", signed=False))
-        h.update(str(batch.edge_index.dtype).encode())
-        h.update(str(batch.edge_shift.dtype).encode())
-    h.update(str(batch.positions.dtype).encode())
-    masked = getattr(batch, "masked_cutoff", None)
-    if masked is not None:
-        # Padded batches record a masked graph; never share a plan with
-        # an (improbably) identical exact-edge batch, nor across mask radii.
-        h.update(b"masked")
-        h.update(np.float64(masked).tobytes())
-    if include_positions:
-        _update(h, batch.positions)
-    return h.digest()
+    return (
+        batch.n_atoms,
+        batch.n_edges,
+        int(batch.n_graphs),
+        batch.positions.dtype,
+        batch.masked_cutoff,
+    )
 
 
 class PlanCache:

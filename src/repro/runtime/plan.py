@@ -17,10 +17,9 @@ separates graph *capture* from graph *execution*:
   compile time, a mirrored reverse list of ``Function.backward`` calls
   with gradient-accumulation targets resolved to preallocated buffers,
   dead-node elimination for values nobody consumes, and constant folding
-  of subgraphs that depend on no replay input or parameter (for an
-  energy plan this folds the whole edge-geometry pipeline — spherical
-  harmonics, Bessel features — which the eager loop recomputes every
-  call).
+  of subgraphs that depend on no replay input or parameter (the model's
+  plans bind every per-batch array, so only batch-independent subgraphs
+  fold).
 * :meth:`CompiledPlan.replay` re-executes the plan on fresh input arrays
   and freshly read parameter values with **no Tensor or tape
   allocation**, after a guard pass that verifies input/parameter shapes
@@ -204,21 +203,6 @@ class _ForwardInstr:
         self.out_buffer: Optional[np.ndarray] = None
         self.donor_slot: Optional[int] = None
 
-    # out_buffer views into the owning plan's arena slab are scratch,
-    # not state: the plan re-derives them from its layout recipe on the
-    # first replay after unpickling (see CompiledPlan._rebuild_buffers).
-    def __getstate__(self):
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "out_buffer"
-        }
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self.out_buffer = None
-
 
 class _BackwardInstr:
     """One replayable backward call with grad-accumulation targets."""
@@ -232,23 +216,6 @@ class _BackwardInstr:
         # grad_index indexes fn.backward's return tuple (Tensor-argument
         # order, matching the eager engine's zip over fn.inputs).
         self.targets = targets
-
-    # Accumulation buffers are rebuilt by the owning plan on the first
-    # replay after unpickling; serialize only whether a target needs one.
-    def __getstate__(self):
-        return {
-            "call": self.call,
-            "out_slot": self.out_slot,
-            "targets": [
-                (grad_index, slot, buffer is not None)
-                for grad_index, slot, buffer in self.targets
-            ],
-        }
-
-    def __setstate__(self, state) -> None:
-        self.call = state["call"]
-        self.out_slot = state["out_slot"]
-        self.targets = [tuple(t) for t in state["targets"]]
 
 
 # Ops the chain fuser may absorb.  Every entry implements the ``out=``
@@ -305,14 +272,12 @@ class _FusedElementwise(Function):
         self._ext_index = {slot: p for p, slot in enumerate(ext)}
         self._interior = frozenset(interior)
         # Private per-member scratch, reused across replays; the final
-        # member writes the arena-provided ``out`` instead.  The spec
-        # survives pickling so scratch can be rebuilt lazily.
-        self._scratch_spec: Tuple[tuple, ...] = tuple(
-            (slot_arrays[m.out_slot].shape, slot_arrays[m.out_slot].dtype)
+        # member writes the arena-provided ``out`` instead.
+        self._scratch: List[Optional[np.ndarray]] = [
+            colored_empty(slot_arrays[m.out_slot].shape, slot_arrays[m.out_slot].dtype)
             for m in self._members[:-1]
-        )
-        self._scratch: Optional[List[Optional[np.ndarray]]] = None
-        self._rebuild_scratch()
+        ]
+        self._scratch.append(None)
         last = type(self._members[-1].fn)
         self.out_alias_safe = last.out_alias_safe
         # Members that save their inputs re-read external operand arrays
@@ -321,17 +286,6 @@ class _FusedElementwise(Function):
         self.saved_arrays = "inputs+out" if last.__name__ in _SAVES_OUT else "inputs"
         self._grad_mask: Optional[tuple] = None
         self._member_run: Tuple[bool, ...] = (True,) * len(self._members)
-
-    def _rebuild_scratch(self) -> None:
-        self._scratch = [
-            colored_empty(shape, dtype) for shape, dtype in self._scratch_spec
-        ]
-        self._scratch.append(None)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_scratch"] = None  # rebuilt lazily, never serialized
-        return state
 
     # The plan's backward builder assigns ``grad_mask`` per instruction;
     # re-deriving per-member masks here lets each member's backward rule
@@ -764,10 +718,6 @@ class CompiledPlan:
         self.n_donated = 0
         self._arena_nbytes = 0
         self._arena_slab: Optional[np.ndarray] = None
-        # (forward_index, offset, shape, dtype) per arena-backed
-        # instruction — the recipe _rebuild_buffers uses to recreate the
-        # slab views after unpickling.
-        self._arena_layout: tuple = ()
         donated_trail: List[tuple] = []
         excluded = set(output_slots)
         if optimize and forward:
@@ -858,9 +808,6 @@ class CompiledPlan:
                     instr.out_buffer = (
                         slab[offset : offset + nbytes].view(dtype).reshape(shape)
                     )
-                self._arena_layout = tuple(
-                    (req[0], req[6], req[4], req[5]) for req in requests
-                )
             self.n_donated = len(donated_trail)
         self.meta.donated = tuple(donated_trail)
         # Residual per-replay allocations: non-view instructions with no
@@ -879,8 +826,6 @@ class CompiledPlan:
                 continue
             n_alloc += 1
         self.n_alloc_instrs = n_alloc
-
-        self._buffers_ready = True
 
         # Release the capture tape: replay never reads fn.inputs, and the
         # retained Functions would otherwise pin every capture Tensor.
@@ -909,68 +854,6 @@ class CompiledPlan:
                 for position, _ in member.bindings:
                     m_args[position] = None
 
-    # -- pickling ----------------------------------------------------------------
-    #
-    # A plan is a static instruction list over plain NumPy arrays, so it
-    # ships across processes: the parallel workers receive one pickled
-    # plan per shape bucket and replay it locally.  Scratch is identity,
-    # not state — the arena slab, per-instruction out-buffer views,
-    # fused-chain scratch and backward accumulation buffers hold nothing
-    # that survives a replay — so pickling serializes only the layout
-    # recipes and the first replay after ``pickle.loads`` rebuilds the
-    # memory (``_rebuild_buffers``).  The ``owner`` pin is process-local
-    # (it guards ``id()``-scoped cache keys, which never cross pickle)
-    # and is dropped; ``_param_specs`` tensors are serialized by value,
-    # so an unpickled plan is frozen at ship-time parameters — exactly
-    # the versioned-snapshot semantics serving workers need.
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["owner"] = None
-        state["_arena_slab"] = None
-        state["_seed_buffer"] = self._seed_buffer is not None
-        state["_buffers_ready"] = False
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
-    def _rebuild_buffers(self) -> None:
-        """Recreate the non-serialized replay buffers after unpickling."""
-        if self._arena_nbytes:
-            slab = np.empty(self._arena_nbytes, dtype=np.uint8)
-            self._arena_slab = slab
-            for index, offset, shape, dtype in self._arena_layout:
-                nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-                self._forward[index].out_buffer = (
-                    slab[offset : offset + nbytes].view(dtype).reshape(shape)
-                )
-        for instr in self._forward:
-            rebuild = getattr(instr.fn, "_rebuild_scratch", None)
-            if rebuild is not None and instr.fn._scratch is None:
-                rebuild()
-        if isinstance(self._seed_buffer, bool):
-            self._seed_buffer = (
-                np.empty_like(self._seed_grad) if self._seed_buffer else None
-            )
-        if self._backward is not None:
-            buffers: Dict[int, np.ndarray] = {}
-            for binstr in self._backward:
-                targets = []
-                for grad_index, slot, needs in binstr.targets:
-                    if needs is True:
-                        buffer = buffers.setdefault(
-                            slot,
-                            colored_empty(self.meta.slot_shapes[slot], np.float64),
-                        )
-                    elif needs is False:
-                        buffer = None
-                    else:
-                        buffer = needs
-                    targets.append((grad_index, slot, buffer))
-                binstr.targets = targets
-        self._buffers_ready = True
-
     # -- introspection ----------------------------------------------------------
 
     @property
@@ -998,8 +881,6 @@ class CompiledPlan:
         (``None`` for inputs that do not require grad or when
         ``compute_grads=False``).
         """
-        if not self._buffers_ready:
-            self._rebuild_buffers()
         specs = self._input_specs
         if len(inputs) != len(specs):
             raise PlanStale(

@@ -100,11 +100,12 @@ class InferenceEngine:
     plan_cache:
         :class:`~repro.runtime.PlanCache` for compiled model execution
         (default ``"auto"``: a private cache).  With ``execute=True``,
-        hot micro-batch compositions replay a compiled plan instead of
-        rebuilding the eager tape; :meth:`swap_model` (and therefore
-        every registry deploy) clears the cache so a hot swap can never
-        replay plans captured against the previous model.  ``None``
-        disables compiled execution.
+        a micro-batch replays the compiled plan of its shape instead of
+        rebuilding the eager tape (wall-clock workers keep their own
+        caches, one per model version); :meth:`swap_model` (and
+        therefore every registry deploy) clears the cache so a hot swap
+        can never replay plans captured against the previous model.
+        ``None`` disables compiled execution.
     execute:
         Run the real NumPy forward per micro-batch and fill per-request
         energies (True), or simulate timing only (False).
@@ -113,11 +114,12 @@ class InferenceEngine:
         virtual clock.  ``"wall-clock"`` keeps the *identical* virtual
         schedule — same admission, batching, placement and records — but
         additionally executes every micro-batch on a real worker pool
-        (:mod:`repro.parallel`): the driver captures one zero-input
-        compiled plan per micro-batch composition and broadcasts it, the
-        pinned worker (``replica % n_workers``) replays it, and the
-        report gains measured per-batch seconds, the real makespan and
-        the pool's robustness counters beside the predictions — the raw
+        (:mod:`repro.parallel`): the driver ships the collated batch to
+        the pinned worker (``replica % n_workers``), which runs it
+        through its own plan cache (one capture per batch shape, then
+        replays), and the report gains measured per-batch seconds, the
+        real makespan and the pool's robustness counters beside the
+        predictions — the raw
         material of cost-model validation.  Requires ``execute=True``
         and a plan cache.
     executor, backend, n_workers:
@@ -221,16 +223,14 @@ class InferenceEngine:
         if mode == "wall-clock" and (not execute or self.plan_cache is None):
             raise ValueError(
                 "mode='wall-clock' needs execute=True and a plan cache "
-                "(workers replay driver-captured plans)"
+                "(workers run compiled plans)"
             )
         self.backend = backend
         self.n_workers = int(n_workers)
         self._executor = executor
         self._own_executor = False
-        # Install bookkeeping: model versions and (version, signature)
-        # plan keys already broadcast to the pool.
+        # Model versions already installed on the pool.
         self._installed_versions: set = set()
-        self._installed_plans: set = set()
         # Async submit()/drain() state.
         self._async_pending: List[Tuple[int, int]] = []  # (req_id, graph_id)
         self._async_tokens = 0
@@ -330,7 +330,6 @@ class InferenceEngine:
             self._executor = None
             self._own_executor = False
         self._installed_versions.clear()
-        self._installed_plans.clear()
 
     def __enter__(self):
         return self
@@ -346,40 +345,15 @@ class InferenceEngine:
             ex.install(InstallModel(version=self.model_version, model=self.model))
             self._installed_versions.add(self.model_version)
 
-    def _broadcast_plan(self, ex, gb) -> Tuple[bytes, float]:
-        """Make sure the pool holds this composition's zero-input plan.
+    def _submit_forward(self, ex, gb, task_id, worker: int):
+        """Submit one micro-batch; returns its result segment (or None).
 
-        The serving pool is static, so a micro-batch composition pins its
-        content: the energy plan folds everything — positions included —
-        as constants and replays with no inputs.  First occurrence per
-        composition: the driver captures through its own plan cache and
-        broadcasts the plan.  Returns ``(signature, capture_seconds)``.
+        The batch travels inline with the task; the worker runs it
+        through its own plan cache for this model version.
         """
-        from ..parallel import InstallPlan
-        from ..runtime.cache import batch_signature
-
-        sig = batch_signature(gb, include_positions=True)
-        ident = (self.model_version, sig)
-        if ident in self._installed_plans:
-            return sig, 0.0
-        t0 = perf_counter()
-        self.model.predict_energy(gb, compiled=self.plan_cache)
-        plan = self.model.energy_plan(gb, compiled=self.plan_cache)
-        capture_dt = perf_counter() - t0
-        if plan is None:
-            raise RuntimeError(
-                "energy plan missing after capture (plan cache evicting "
-                "under the serving working set?)"
-            )
-        self._install_model(ex)
-        ex.install(InstallPlan(version=self.model_version, key=sig, plan=plan))
-        self._installed_plans.add(ident)
-        return sig, capture_dt
-
-    def _submit_forward(self, ex, gb, sig: bytes, task_id, worker: int):
-        """Submit one micro-batch replay; returns its result segment (or None)."""
         from ..parallel import ForwardTask, SlabFull
 
+        self._install_model(ex)
         try:
             seg = ex.slab.alloc((gb.n_graphs,), np.float64)
         except SlabFull:
@@ -388,8 +362,7 @@ class InferenceEngine:
             ForwardTask(
                 task_id=task_id,
                 version=self.model_version,
-                plan_key=sig,
-                n_graphs=gb.n_graphs,
+                batch=gb,
                 result=seg,
             ),
             worker=worker,
@@ -446,7 +419,7 @@ class InferenceEngine:
         predicted: List[float] = []
         # batch_id -> (first record index, n requests, result segment)
         wall_meta: Dict[int, Tuple[int, int, object]] = {}
-        state = {"swap_idx": 0, "batch_id": 0, "host_forward": 0.0, "capture": 0.0}
+        state = {"swap_idx": 0, "batch_id": 0, "host_forward": 0.0}
 
         def flush(pending: List[TraceRequest], now: float) -> None:
             while (
@@ -483,10 +456,8 @@ class InferenceEngine:
                         # whole schedule — identical); the forward itself
                         # runs on the pinned worker and its energies are
                         # filled into the records at drain time.
-                        sig, capture_dt = self._broadcast_plan(ex, gb)
-                        state["capture"] += capture_dt
                         seg = self._submit_forward(
-                            ex, gb, sig, state["batch_id"], j % ex.n_workers
+                            ex, gb, state["batch_id"], j % ex.n_workers
                         )
                         wall_meta[state["batch_id"]] = (
                             len(records),
@@ -580,6 +551,7 @@ class InferenceEngine:
             # their results instead of dropping them.
             self._collect_async(results, ex)
             measured = [0.0] * state["batch_id"]
+            capture = 0.0
             finishes: List[float] = []
             for bid, (first, n, seg) in wall_meta.items():
                 res = results[bid]
@@ -596,6 +568,8 @@ class InferenceEngine:
                 for pos in range(n):
                     records[first + pos].energy = float(energies[pos])
                 measured[bid] = res["finish"] - res["start"]
+                if res["captured"]:
+                    capture += measured[bid]
                 finishes.append(res["finish"])
             wall_fields = dict(
                 mode="wall-clock",
@@ -604,7 +578,7 @@ class InferenceEngine:
                 batch_predicted_seconds=predicted,
                 batch_measured_seconds=measured,
                 measured_makespan=max(finishes) - wall_t0 if finishes else 0.0,
-                capture_seconds=state["capture"],
+                capture_seconds=capture,
                 worker_deaths=ex.stats.worker_deaths - deaths0,
                 resubmitted=ex.stats.resubmitted - resub0,
             )
@@ -635,8 +609,8 @@ class InferenceEngine:
         into a pending micro-batch that is shipped to a worker whenever
         the next request would overflow the ``max_batch_tokens`` budget
         (and unconditionally at :meth:`drain`).  The driver never blocks —
-        batching, plan broadcast and submission all happen inline; the
-        energies come back from :meth:`drain`.
+        batching and submission happen inline; the energies come back
+        from :meth:`drain`.
         """
         if not 0 <= graph_id < len(self.pool):
             raise ValueError(f"unknown graph id {graph_id}")
@@ -688,17 +662,15 @@ class InferenceEngine:
         if not self._async_pending:
             return
         ex = self._ensure_executor()
-        self._install_model(ex)
         comp = [graph_id for _, graph_id in self._async_pending]
         gb = self.collate_cache.get(self.pool, comp, capacity=self.max_batch_tokens)
-        sig, _ = self._broadcast_plan(ex, gb)
         # The cache collates members in sorted-graph_id order (stable), so
         # energies[pos] belongs to the pos-th request in that order.
         order = sorted(range(len(comp)), key=lambda k: comp[k])
         req_order = [self._async_pending[k][0] for k in order]
         task_id = f"async-{self._async_batches}"
         seg = self._submit_forward(
-            ex, gb, sig, task_id, self._async_batches % ex.n_workers
+            ex, gb, task_id, self._async_batches % ex.n_workers
         )
         self._async_tasks[task_id] = (req_order, seg)
         self._async_batches += 1

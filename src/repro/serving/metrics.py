@@ -75,8 +75,9 @@ class ServingReport:
     ``mode="wall-clock"`` the same virtual-clock schedule (identical
     admission, batching and placement) additionally executes on a real
     worker pool, filling the measured fields: per-batch wall seconds
-    beside the cost model's predictions, the real makespan, and the
-    pool's robustness counters.
+    beside the cost model's predictions, the real makespan, the worker
+    seconds of the batches that captured a new plan
+    (``capture_seconds``), and the pool's robustness counters.
     """
 
     policy: str

@@ -56,18 +56,6 @@ def model():
     return MACE(CFG, seed=0)
 
 
-def _batch_payload(batch):
-    """Inline ForwardTask fallback payload from a collated batch."""
-    return {
-        "positions": batch.positions,
-        "species": batch.species,
-        "graph_index": batch.graph_index,
-        "edge_index": batch.edge_index,
-        "edge_shift": batch.edge_shift,
-        "energies": batch.energies,
-    }
-
-
 class TestSlab:
     @pytest.mark.parametrize("cls", [LocalSlab, ShmSlab])
     def test_alloc_view_take_free(self, cls):
@@ -138,8 +126,7 @@ class TestExecutors:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        batch=batch,
                     ),
                     worker=t,  # wraps modulo n_workers
                 )
@@ -154,16 +141,17 @@ class TestExecutors:
         batch = collate(labeled[:1])
         with make_executor("serial", 1) as ex:
             ex.install(InstallModel(version=0, model=model))
-            task = ForwardTask(
-                task_id="t", version=0, batch=_batch_payload(batch), n_graphs=1
-            )
+            task = ForwardTask(task_id="t", version=0, batch=batch)
             ex.submit(task)
             with pytest.raises(ValueError, match="duplicate"):
                 ex.submit(task)
 
-    def test_task_error_is_reported_not_raised(self):
+    def test_task_error_is_reported_not_raised(self, labeled):
+        batch = collate(labeled[:1])
         with make_executor("serial", 1) as ex:
-            ex.submit(ForwardTask(task_id="boom", version=99, n_graphs=1))
+            ex.submit(  # no model version 99 installed
+                ForwardTask(task_id="boom", version=99, batch=batch)
+            )
             results = ex.drain()
         assert "error" in results["boom"]
         assert ex.stats.errors == 1
@@ -196,8 +184,7 @@ class TestWorkerRobustness:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        batch=batch,
                     ),
                     worker=t,
                 )
@@ -210,8 +197,7 @@ class TestWorkerRobustness:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        batch=batch,
                     ),
                     worker=0,
                 )

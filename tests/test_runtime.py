@@ -155,6 +155,58 @@ class TestModelCompiledPaths:
         assert np.abs(e_c - e_ref).max() < 1e-10
         assert np.abs(f_c - f_ref).max() < 1e-10
 
+    @staticmethod
+    def _same_shape_pair(labeled):
+        """Two batches of equal shape and different content: reversed
+        member order plus a non-rigid position perturbation."""
+        batch = collate(labeled[:2])
+        other = collate(labeled[1::-1])
+        rng = np.random.default_rng(11)
+        other.positions = other.positions + 0.02 * rng.standard_normal(
+            other.positions.shape
+        )
+        assert batch_signature(batch) == batch_signature(other)
+        assert not np.array_equal(batch.edge_index, other.edge_index)
+        return batch, other
+
+    def test_energy_plan_shared_across_same_shape_content(self, model, labeled):
+        batch, other = self._same_shape_pair(labeled)
+        cache = PlanCache()
+        model.predict_energy(batch, compiled=cache)
+        replayed = model.predict_energy(other, compiled=cache)
+        assert (cache.captures, cache.hits) == (1, 1)
+        assert np.abs(replayed - model.predict_energy(other)).max() < 1e-10
+
+    def test_force_plan_shared_across_same_shape_content(self, model, labeled):
+        batch, other = self._same_shape_pair(labeled)
+        cache = PlanCache()
+        model.energy_and_forces(batch, compiled=cache)
+        e_c, f_c = model.energy_and_forces(other, compiled=cache)
+        assert (cache.captures, cache.hits) == (1, 1)
+        e_ref, f_ref = model.energy_and_forces(other)
+        assert np.abs(e_c - e_ref).max() < 1e-10
+        assert np.abs(f_c - f_ref).max() < 1e-10
+
+    def test_masked_batch_never_shares_exact_edge_plan(self, model, labeled):
+        exact = collate(labeled[:2])
+        masked = collate(labeled[:2])
+        masked.masked_cutoff = model.cfg.cutoff
+        assert batch_signature(exact) != batch_signature(masked)
+        cache = PlanCache()
+        model.energy_and_forces(exact, compiled=cache)
+        model.energy_and_forces(masked, compiled=cache)
+        model.predict_energy(exact, compiled=cache)
+        model.predict_energy(masked, compiled=cache)
+        assert (cache.captures, cache.hits) == (4, 0)
+
+    def test_compiled_argument_must_be_a_cache(self, model, labeled):
+        batch = collate(labeled[:1])
+        for bad in (True, "auto", False):
+            with pytest.raises(TypeError, match="PlanCache"):
+                model.predict_energy(batch, compiled=bad)
+            with pytest.raises(TypeError, match="PlanCache"):
+                model.energy_and_forces(batch, compiled=bad)
+
     def test_shape_bucket_change_is_miss_then_recapture(self, model, labeled):
         cache = PlanCache()
         model.predict_energy(collate(labeled[:2]), compiled=cache)
@@ -396,50 +448,3 @@ class TestPlanMemoryRelease:
         assert held() == 0  # released at compile
         model.predict_energy(batch, compiled=cache)  # replay
         assert held() == 0  # released after replay too
-
-
-class TestPlanPickle:
-    """CompiledPlan survives a pickle round trip (the worker-pool wire
-    format of :mod:`repro.parallel`): replay equivalence after ``loads``,
-    with buffers rebuilt lazily on the first replay."""
-
-    def test_quadratic_roundtrip_matches_original(self):
-        import pickle
-
-        plan, w, x, c, loss = TestCompiledPlanCore()._capture_quadratic()
-        clone = pickle.loads(pickle.dumps(plan))
-        x2 = np.array([0.5, 2.0])
-        (a,), (ga,) = plan.replay(x2)
-        # The clone carries cloned parameter tensors, so only outputs and
-        # returned input-gradients are comparable — and they are bitwise.
-        (b,), (gb,) = clone.replay(x2)
-        assert a == b
-        np.testing.assert_array_equal(ga, gb)
-
-    def test_zero_input_energy_plan_roundtrip(self, model, labeled):
-        import pickle
-
-        from repro.autograd.engine import no_grad
-
-        batch = collate(labeled[:2])
-        with record_tape() as tape, no_grad():
-            out = model.forward(batch)
-        plan = CompiledPlan(tape, outputs=(out,))
-        clone = pickle.loads(pickle.dumps(plan))
-        (e0,), _ = plan.replay()
-        (e1,), _ = clone.replay()  # first replay rebuilds buffers
-        np.testing.assert_allclose(e1, e0, atol=1e-12)
-        (e2,), _ = clone.replay()  # second replay is bitwise-stable
-        np.testing.assert_array_equal(e2, e1)
-
-    def test_double_roundtrip(self):
-        """A rebuilt plan can be pickled again (re-broadcast path)."""
-        import pickle
-
-        plan, w, x, c, loss = TestCompiledPlanCore()._capture_quadratic()
-        once = pickle.loads(pickle.dumps(plan))
-        once.replay(x.data)  # buffers live
-        twice = pickle.loads(pickle.dumps(once))
-        (a,), _ = plan.replay(x.data)
-        (b,), _ = twice.replay(x.data)
-        assert a == b
